@@ -34,7 +34,7 @@ from .cube import (
 from .extend import ExtensionOM, LexAtom, Localization
 from .guards import GAME_DIM, check
 from .plcp import random_p_matrix
-from .realize import RealizedOM, RationalMatrix, hstack, is_generic, negated
+from .realize import RealizedOM, RationalMatrix, hstack, negated
 from .reduction import orient_vertex_total
 from .signs import MINUS, PLUS, ZERO, GroundSet
 
@@ -110,12 +110,15 @@ def run_game(algo, state: AdversaryState) -> GameResult:
 
 
 def random_uniform_base(n: int, rng: random.Random, max_tries: int = 64) -> RealizedOM:
-    """Generic realization [I; -M] of a random P-matrix; uniformity asserted."""
+    """Generic realization [I; -M] of a random P-matrix; uniformity checked."""
     for _ in range(max_tries):
         m = random_p_matrix(n, rng)
-        a = hstack(RationalMatrix.identity(n), negated(m))
-        if is_generic(a):
-            return RealizedOM(a, GroundSet.complementary(n))
+        base = RealizedOM(
+            hstack(RationalMatrix.identity(n), negated(m)), GroundSet.complementary(n)
+        )
+        # is_uniform caches its answer, so AdversaryState(base) does not recompute it.
+        if base.is_uniform():
+            return base
     raise RuntimeError("could not draw a generic P-matrix realization")
 
 
@@ -224,24 +227,30 @@ def ss_forcing_run(n: int) -> Orientation:
     state.answer(vertex_of({}))
     a2 = state.answer(vertex_of({d: 1 for d in pool}))
     detected = [d for d in pool if a2[d] == MINUS]
-    assert len(detected) == 1, "second answer must have exactly one incoming edge"
+    if len(detected) != 1:
+        raise RuntimeError("second answer must have exactly one incoming edge")
     ell1 = detected[0]
     rest = [d for d in pool if d != ell1]
 
     a3 = state.answer(vertex_of({d: 1 for d in rest}))
     detected = [d for d in pool if a3[d] == MINUS]
-    assert len(detected) == 1
+    if len(detected) != 1:
+        raise RuntimeError("third answer must have exactly one incoming edge")
     ell2 = detected[0]
     ell3 = next(d for d in pool if d not in (ell1, ell2))
 
     before = len(state.dims)
     state.answer(vertex_of({ell1: 1}))
-    assert len(state.dims) == before, "fourth query must not grow L"
+    if len(state.dims) != before:
+        raise RuntimeError("fourth query must not grow L")
 
     state.answer(vertex_of({ell3: 1}))
-    assert sorted(state.dims) == sorted(pool)
+    if sorted(state.dims) != sorted(pool):
+        raise RuntimeError("the schedule must end with L equal to the pool")
 
     forced = state.s_tilde
-    assert is_uso_exhaustive(forced)
-    assert holt_klee_value(forced) == 2
+    if not is_uso_exhaustive(forced):
+        raise RuntimeError("forced orientation is not a USO")
+    if holt_klee_value(forced) != 2:
+        raise RuntimeError("forced orientation must have Holt-Klee value 2")
     return forced

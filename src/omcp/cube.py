@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from .guards import USO_EXHAUSTIVE_DIM, check
 from .signs import MINUS, PLUS, ZERO, char_sign, sign_char
 
@@ -348,6 +346,8 @@ def holt_klee_value(o: Orientation, limit: int | None = None) -> int:
     Unit-capacity max flow on the node-split digraph; the source and sink
     themselves are not split.  The orientation must be a USO.
     """
+    import networkx as nx  # deferred: costs most of ``import omcp`` and only this needs it
+
     if not is_uso_exhaustive(o, limit):
         raise ValueError("Holt-Klee value is defined for USOs")
     n = o.n

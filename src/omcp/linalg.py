@@ -1,116 +1,119 @@
-"""Exact linear algebra over Fractions: rank, determinant, solve, kernel.
+"""Exact linear algebra on rational matrices: rank, determinant, solve, inverse, kernel.
 
-Plain Gaussian elimination on lists of lists; arbitrary precision makes
-overflow impossible and keeps every sign decision exact.
+Every function runs the same fraction-free Gauss-Jordan elimination
+(Bareiss 1968) on integer rows.  Each row is first scaled by the lcm of
+its denominators; inside the loop every update is
+``(pivot * a - factor * b) // previous_pivot``, a division that is exact
+because each intermediate entry is a minor of the scaled matrix.  Python
+integers have arbitrary precision, so overflow is impossible and every
+sign decision is exact.  Fractions are built only for returned values.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list[Fraction]
 Matrix = list[Row]
 
 
-def _echelon(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Row echelon form (in place on a copy); returns (rows, pivot column list)."""
-    m = [row[:] for row in rows]
+def integer_multiple(values) -> tuple[int, list[int]]:
+    """``(k, [k * v for v in values])`` with k the positive lcm of the denominators."""
+    k = math.lcm(*[v.denominator for v in values])
+    if k == 1:
+        return 1, [v.numerator for v in values]
+    return k, [v.numerator * (k // v.denominator) for v in values]
+
+
+def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination, pivoting in the first ``width`` columns.
+
+    Entries may be Fractions or ints.  Returns ``(m, pivots, d, den)``.
+    ``m`` is the reduced integer matrix; its k-th row holds the k-th
+    pivot, in column ``pivots[k]``.  Every pivot row has the entry ``d``
+    (the last pivot) at its own pivot column and 0 at the other pivot
+    columns, and the rows past ``len(pivots)`` are zero in the first
+    ``width`` columns.  For a square full-rank matrix,
+    ``det(rows) = d / den``: ``den`` is the product of the positive row
+    multipliers, negated for an odd number of row swaps.
+    """
+    m = []
+    den = 1
+    for row in rows:
+        mult, ints = integer_multiple(row)
+        den *= mult
+        m.append(ints)
     n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
     pivots: list[int] = []
+    prev = 1
     r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, n_rows):
-            f = m[i][c]
-            if f == 0:
-                continue
-            ratio = f / pv
-            for j in range(c, n_cols):
-                m[i][j] -= m[r][j] * ratio
-        pivots.append(c)
-        r += 1
+    for c in range(width):
         if r == n_rows:
             break
-    return m, pivots
+        p = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            den = -den
+        prow = m[r]
+        pv = prow[c]
+        for i in range(n_rows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f != 0:
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+            elif pv != prev:
+                m[i] = [pv * a // prev for a in row]
+        pivots.append(c)
+        prev = pv
+        r += 1
+    return m, pivots, prev, den
 
 
 def mat_rank(rows: Matrix) -> int:
     if not rows or not rows[0]:
         return 0
-    return len(_echelon(rows)[1])
+    return len(_eliminate(rows, len(rows[0]))[1])
 
 
 def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    m = [row[:] for row in rows]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        pv = m[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            f = m[i][c]
-            if f == 0:
-                continue
-            ratio = f / pv
-            for j in range(c, n):
-                m[i][j] -= m[c][j] * ratio
-    return result
+    _, pivots, d, den = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(d, den)
 
 
 def solve(rows: Matrix, b: Row) -> Row | None:
     """Solve the square system A x = b; None when A is singular."""
     n = len(rows)
-    m = [rows[i][:] + [b[i]] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        for i in range(n):
-            if i == c:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            ratio = f / pv
-            for j in range(c, n + 1):
-                m[i][j] -= m[c][j] * ratio
-    return [m[i][n] / m[i][i] for i in range(n)]
+    m, pivots, d, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
+    if len(pivots) < n:
+        return None
+    return [Fraction(m[i][n], d) for i in range(n)]
 
 
-def invert(rows: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix; None when singular."""
+def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
+    """Exact inverse over a common denominator; None when singular.
+
+    Returns ``(d, N)`` with a non-zero integer ``d`` and an integer
+    matrix ``N`` such that the inverse is ``N / d``.  ``d`` may be
+    negative, so the sign of an entry of the inverse times ``x`` is
+    ``sign(d) * sign(N x)``.
+    """
     n = len(rows)
-    m = [rows[i][:] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = m[i][c]
-            if f == 0:
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    m, pivots, d, _ = _eliminate(
+        [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)], n
+    )
+    if len(pivots) < n:
+        return None
+    return d, [row[n:] for row in m]
 
 
 def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
@@ -122,16 +125,13 @@ def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
     if not columns:
         return None
     height = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(height)]
-    ech, pivots = _echelon(rows)
     k = len(columns)
-    free = [c for c in range(k) if c not in pivots]
-    if not free:
+    m, pivots, d, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
+    free = next((c for c in range(k) if c not in pivots), None)
+    if free is None:
         return None
     x = [Fraction(0)] * k
-    x[free[0]] = Fraction(1)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        s = sum((ech[r][j] * x[j] for j in range(c + 1, k)), Fraction(0))
-        x[c] = -s / ech[r][c]
+    x[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        x[c] = Fraction(-m[r][free], d)
     return x

@@ -147,13 +147,15 @@ def plcp_orientation(m: RationalMatrix, q, v: int) -> tuple[int, ...]:
     inv = linalg.invert(rows)
     if inv is None:
         raise ValueError(f"basis at vertex {v:0{n}b} is singular")
+    d, num = inv
     out = []
     for i in range(n):
         sign = ZERO
         for level in levels:
-            value = sum(inv[i][r] * level[r] for r in range(n))
+            # the basic value is (N level)_i / d
+            value = sum(num[i][r] * level[r] for r in range(n))
             if value != 0:
-                sign = PLUS if value > 0 else MINUS
+                sign = PLUS if (value > 0) == (d > 0) else MINUS
                 break
         # incoming half-edge for a positive basic value, outgoing for negative
         out.append(ZERO if sign == ZERO else (MINUS if sign == PLUS else PLUS))

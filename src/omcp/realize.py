@@ -12,6 +12,7 @@ complementarity instance [I; -M; -q] from an LCP pair (M, q).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -74,9 +75,6 @@ class RationalMatrix:
 
     def columns(self, js: Sequence[int]) -> list[list[Fraction]]:
         return [[row[j] for j in js] for row in self.entries]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.entries]
 
     def scale_column(self, j: int, factor: Fraction) -> "RationalMatrix":
         return RationalMatrix(
@@ -181,11 +179,16 @@ def omcp_from_plcp(
 class RealizedOM:
     """Circuit oracle backed by a full-row-rank rational realization.
 
-    Queries are answered by exact solves against column submatrices, so no
-    part of the circuit collection has to be materialized up front.  The
-    full-row-rank restriction covers every configuration this package
-    builds ([I; ...] blocks); rank-deficient realizations go through
-    :func:`circuits_from_matrix` and :class:`ExplicitOM` instead.
+    Queries are answered from exact basis inverses, so no part of the
+    circuit collection is materialized up front.  The oracle keeps an
+    integer copy of its columns, each scaled by the positive lcm of its
+    denominators, which leaves the oriented matroid unchanged.  Each
+    basis caches its column indices and ``linalg.invert`` of its integer
+    submatrix, ``(d, N)`` with inverse ``N / d`` (None when singular);
+    signs are read as ``sign(d) * sign(N x)`` from integer dot products.
+    Rank-deficient realizations go through :func:`circuits_from_matrix`
+    and :class:`ExplicitOM` instead; every configuration this package
+    builds has an [I; ...] block.
     """
 
     matrix: RationalMatrix
@@ -194,12 +197,20 @@ class RealizedOM:
     def __post_init__(self) -> None:
         if self.matrix.cols != self.ground.size:
             raise ValueError("column count does not match ground-set size")
-        if linalg.mat_rank(self.matrix.row_lists()) != self.matrix.rows:
+        self.__dict__["_columns"] = tuple(
+            linalg.integer_multiple(self.matrix.column(j))[1] for j in range(self.matrix.cols)
+        )
+        if linalg.mat_rank(self._rows(range(self.matrix.cols))) != self.matrix.rows:
             raise ValueError("realization oracle requires full row rank")
 
     @property
     def rank(self) -> int:
         return self.matrix.rows
+
+    def _rows(self, js: Iterable[int]) -> list[list[int]]:
+        """Row-major integer submatrix on the columns ``js``."""
+        cols = [self._columns[j] for j in js]
+        return [[col[i] for col in cols] for i in range(self.rank)]
 
     def _cache(self) -> dict:
         return self.__dict__.setdefault("_basis_cache", {})
@@ -208,11 +219,11 @@ class RealizedOM:
         return sorted(self.ground.index(name) for name in names)
 
     def _basis_inverse(self, names: frozenset[str]):
-        """Inverse of the basis submatrix, cached; None when singular."""
+        """(column indices, (d, N) or None when singular), cached."""
         cache = self._cache()
         if names not in cache:
             js = self._column_indices(names)
-            cache[names] = (js, linalg.invert(self.matrix.columns(js)))
+            cache[names] = (js, linalg.invert(self._rows(js)))
         return cache[names]
 
     def is_basis(self, subset: Iterable[str]) -> bool:
@@ -223,14 +234,15 @@ class RealizedOM:
 
     def is_independent(self, subset: Iterable[str]) -> bool:
         js = self._column_indices(subset)
-        cols = self.matrix.columns(js)
-        return linalg.mat_rank(cols) == len(js)
+        return linalg.mat_rank(self._rows(js)) == len(js)
 
     def is_uniform(self) -> bool:
-        return is_generic(self.matrix)
+        if "_uniform" not in self.__dict__:
+            self.__dict__["_uniform"] = is_generic(self.matrix)
+        return self.__dict__["_uniform"]
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """NotABasis, or the fundamental circuit C(B, e) from an exact solve."""
+        """NotABasis, or the fundamental circuit C(B, e) from the cached inverse."""
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
@@ -240,15 +252,16 @@ class RealizedOM:
         js, inv = self._basis_inverse(names)
         if inv is None:
             return NOT_A_BASIS
-        target = self.matrix.column(j_e)
-        coeffs = [
-            sum(inv[r][i] * target[i] for i in range(self.rank))
-            for r in range(self.rank)
-        ]
+        d, rows = inv
+        target = self._columns[j_e]
+        if d < 0:
+            target = [-x for x in target]
         signs = [ZERO] * self.ground.size
         signs[j_e] = PLUS
-        for j, c in zip(js, coeffs):
-            signs[j] = MINUS if c > 0 else (PLUS if c < 0 else ZERO)
+        # C(B, e) is -(B^-1 a_e) on B and + at e.
+        for j, row in zip(js, rows):
+            v = sum(map(operator.mul, row, target))
+            signs[j] = MINUS if v > 0 else (PLUS if v < 0 else ZERO)
         return SignedSet(self.ground, tuple(signs))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
@@ -262,11 +275,13 @@ class RealizedOM:
         js, inv = self._basis_inverse(names)
         if inv is None:
             raise ValueError("fundamental cocircuits are defined for bases only")
-        row = inv[js.index(self.ground.index(e))]
+        d, rows = inv
+        row = rows[js.index(self.ground.index(e))]
+        if d < 0:
+            row = [-x for x in row]
         signs = []
-        for j in range(self.ground.size):
-            col = self.matrix.column(j)
-            v = sum(row[i] * col[i] for i in range(self.rank))
+        for col in self._columns:
+            v = sum(map(operator.mul, row, col))
             signs.append(PLUS if v > 0 else (MINUS if v < 0 else ZERO))
         return SignedSet(self.ground, tuple(signs))
 
@@ -275,7 +290,7 @@ class RealizedOM:
         if "_cocircuits" in self.__dict__:
             return self.__dict__["_cocircuits"]
         n = self.rank
-        cols = [self.matrix.column(j) for j in range(self.matrix.cols)]
+        cols = self._columns
         result: set[SignedSet] = set()
         for combo in itertools.combinations(range(self.matrix.cols), n - 1):
             sub = [cols[j] for j in combo]

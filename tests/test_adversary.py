@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omcp
 from omcp.adversary import (
     AdversaryState,
     SSState,
@@ -203,3 +208,20 @@ def test_ss_forcing_run_invariant_across_sizes():
 def test_ss_forcing_rejects_small_n():
     with pytest.raises(ValueError):
         ss_forcing_run(7)
+
+
+def test_ss_forcing_run_checks_survive_optimize_flag():
+    # The schedule's checks must not be asserts, which ``python -O`` strips.
+    src = str(Path(omcp.__file__).resolve().parents[1])
+    code = (
+        "from omcp.adversary import ss_forcing_run\n"
+        "print(__debug__, ss_forcing_run(8).to_outmaps())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.split(" ", 1) == [
+        "False", "['+++', '++-', '+--', '+-+', '--+', '---', '-+-', '-++']\n",
+    ]

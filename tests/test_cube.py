@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import omcp
 from omcp.cube import (
     CountingOracle,
     Face,
@@ -278,3 +283,14 @@ def test_json_roundtrip():
     assert d == {"n": 2, "outmaps": ["+-", "--", "++", "-+"]}
     again = Orientation.from_json_dict(d)
     assert again.to_outmaps() == o.to_outmaps()
+
+
+def test_import_omcp_does_not_load_networkx():
+    # networkx is imported by holt_klee_value on first use, not by ``import omcp``.
+    src = str(Path(omcp.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, omcp; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "False\n"

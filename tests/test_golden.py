@@ -1,0 +1,32 @@
+"""Byte-for-byte CLI output on committed instances.
+
+``data/golden_cli.json`` holds, per command, the argv (``DATA`` stands for
+this directory), the exit code and the exact stdout.  The two n=5 P-LCPs
+share ``M = plcp.random_p_matrix(5, Random(2302))``: ``lcp5_generic`` has
+a zero-free random q and is non-degenerate, ``lcp5_degenerate`` has
+q = (0, 3, 0, -2, 0).  The expected outputs were recorded once and are
+never regenerated: any change to the exact arithmetic or to the
+reduction that alters a sign shows up here.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from omcp.cli import main
+
+DATA = Path(__file__).parent / "data"
+CASES = json.loads((DATA / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
+def test_cli_output_is_byte_identical(case):
+    argv = [a.replace("DATA", str(DATA)) for a in case["argv"]]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == case["exit"]
+    assert buf.getvalue() == case["stdout"]

@@ -1,0 +1,110 @@
+"""Property tests of the exact kernel against independent computations.
+
+Matrices have up to 5 rows and 6 columns, many zero entries and mixed
+denominators (plain ints among them), so singular and rank-deficient
+cases are common.  Determinants and ranks are checked against the
+Leibniz formula, inverses and solutions by multiplying back.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from omcp import linalg
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def square_matrices(max_n=5):
+    return st.integers(1, max_n).flatmap(lambda n: matrices(n, n))
+
+
+def rectangular_matrices():
+    return st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(lambda rc: matrices(*rc))
+
+
+def leibniz_det(a) -> Fraction:
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def minor_rank(a) -> int:
+    """Size of the largest non-vanishing minor."""
+    rows, cols = len(a), len(a[0])
+    for r in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), r):
+            for ci in itertools.combinations(range(cols), r):
+                if leibniz_det([[a[i][j] for j in ci] for i in ri]) != 0:
+                    return r
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_det_matches_leibniz(a):
+    assert linalg.det(a) == leibniz_det(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_invert_is_exact_over_common_denominator(a):
+    inv = linalg.invert(a)
+    if leibniz_det(a) == 0:
+        assert inv is None
+        return
+    assert inv is not None
+    d, num = inv
+    n = len(a)
+    assert isinstance(d, int) and d != 0
+    assert all(isinstance(v, int) for row in num for v in row)
+    for i in range(n):
+        for j in range(n):
+            assert sum(a[i][k] * num[k][j] for k in range(n)) == d * (i == j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(matrices(n, n), matrices(n, 1))))
+def test_solve_satisfies_system(case):
+    a, b = case
+    b = [row[0] for row in b]
+    x = linalg.solve(a, b)
+    if leibniz_det(a) == 0:
+        assert x is None
+        return
+    n = len(a)
+    assert all(sum(a[i][j] * x[j] for j in range(n)) == b[i] for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_matrices())
+def test_rank_matches_largest_nonzero_minor(a):
+    assert linalg.mat_rank(a) == minor_rank(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_matrices())
+def test_kernel_vector_of_columns_is_in_kernel(a):
+    columns = [list(col) for col in zip(*a)]
+    x = linalg.kernel_vector_of_columns(columns)
+    if minor_rank(a) == len(columns):
+        assert x is None
+        return
+    assert x is not None and any(v != 0 for v in x)
+    for i in range(len(a)):
+        assert sum(x[j] * columns[j][i] for j in range(len(columns))) == 0

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omcp.guards import SizeGuardError
 from omcp.om import NOT_A_BASIS, NotABasis, check_circuit_axioms
@@ -163,3 +164,37 @@ def test_realized_fundamental_cocircuit_matches_explicit():
 def test_realized_requires_full_row_rank():
     with pytest.raises(ValueError):
         RealizedOM(RationalMatrix.from_rows([[1, 1], [1, 1]]), GroundSet.complementary(1))
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n),
+            st.lists(RATIONALS, min_size=n, max_size=n),
+        )
+    )
+)
+@example(([[Fraction(2), Fraction(1, 3)], [Fraction(-1, 2), Fraction(3)]], [Fraction(1), Fraction(-2)]))
+@example(([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]], [Fraction(0), Fraction(-2)]))
+def test_realized_signs_match_circuit_enumeration(case):
+    """Integer sign reads agree with the explicit oracle on [I | -M | -q]."""
+    rows, q = case
+    n = len(rows)
+    m = RationalMatrix(tuple(tuple(r) for r in rows))
+    ground = GroundSet.complementary(n, with_q=True)
+    realized = RealizedOM(plcp_matrix(m, tuple(q)), ground)
+    explicit = omcp_from_plcp(m, tuple(q))
+    for basis in itertools.combinations(ground.elements, n):
+        names = frozenset(basis)
+        for e in ground.elements:
+            if e not in names:
+                assert realized.query(names, e) == explicit.query(names, e)
+            elif explicit.is_basis(names):
+                assert realized.fundamental_cocircuit(names, e) == explicit.fundamental_cocircuit(names, e)
