@@ -27,8 +27,10 @@ from .cube import (
     CountingOracle,
     Face,
     Orientation,
+    flip_vertex,
     holt_klee_value,
     is_uso_exhaustive,
+    project,
     vertex_bit,
 )
 from .extend import ExtensionOM, LexAtom, Localization
@@ -125,14 +127,6 @@ def random_uniform_base(n: int, rng: random.Random, max_tries: int = 64) -> Real
 # -- collision-forcing first phase ------------------------------------------
 
 
-def _project(v: int, dims: list[int], n: int) -> int:
-    p = 0
-    for k, d in enumerate(dims):
-        if vertex_bit(v, d, n):
-            p |= 1 << (len(dims) - 1 - k)
-    return p
-
-
 class SSState:
     """First-phase state: dimension set L, a USO on the L-cube, queried vertices.
 
@@ -158,16 +152,15 @@ class SSState:
         new_dims = sorted(old_dims + [ell])
         pos = new_dims.index(ell)
         hosts = {
-            _project(u, old_dims, self.n): vertex_bit(u, ell, self.n)
+            project(u, old_dims, self.n): vertex_bit(u, ell, self.n)
             for u in self.queried
         }
         k = len(old_dims)
+        kept = [j for j in range(k + 1) if j != pos]
         table = []
         for p_new in range(1 << (k + 1)):
-            side = (p_new >> (k - pos)) & 1
-            upper = p_new >> (k - pos + 1)
-            lower = p_new & ((1 << (k - pos)) - 1)
-            p_old = (upper << (k - pos)) | lower
+            side = vertex_bit(p_new, pos, k + 1)
+            p_old = project(p_new, kept, k + 1)
             old_row = list(self.s_tilde.outmap(p_old))
             if p_old in hosts:
                 cross = PLUS if side == hosts[p_old] else MINUS
@@ -185,7 +178,7 @@ class SSState:
                 u
                 for u in self.queried
                 if u != v
-                and _project(u, self.dims, self.n) == _project(v, self.dims, self.n)
+                and project(u, self.dims, self.n) == project(v, self.dims, self.n)
             ),
             None,
         )
@@ -197,7 +190,7 @@ class SSState:
                 and vertex_bit(collider, d, self.n) != vertex_bit(v, d, self.n)
             )
             self._extend(ell)
-        projected = self.s_tilde.outmap(_project(v, self.dims, self.n))
+        projected = self.s_tilde.outmap(project(v, self.dims, self.n))
         out = [PLUS] * self.n
         for k, d in enumerate(self.dims):
             out[d] = projected[k]
@@ -217,22 +210,18 @@ def ss_forcing_run(n: int) -> Orientation:
     state = SSState(n)
     pool = [0, 1, 2]
 
-    def vertex_of(bits_at: dict[int, int]) -> int:
-        v = 0
-        for d, b in bits_at.items():
-            if b:
-                v |= 1 << (n - 1 - d)
-        return v
+    def vertex_of(ones) -> int:
+        return sum(flip_vertex(0, d, n) for d in ones)
 
-    state.answer(vertex_of({}))
-    a2 = state.answer(vertex_of({d: 1 for d in pool}))
+    state.answer(vertex_of([]))
+    a2 = state.answer(vertex_of(pool))
     detected = [d for d in pool if a2[d] == MINUS]
     if len(detected) != 1:
         raise RuntimeError("second answer must have exactly one incoming edge")
     ell1 = detected[0]
     rest = [d for d in pool if d != ell1]
 
-    a3 = state.answer(vertex_of({d: 1 for d in rest}))
+    a3 = state.answer(vertex_of(rest))
     detected = [d for d in pool if a3[d] == MINUS]
     if len(detected) != 1:
         raise RuntimeError("third answer must have exactly one incoming edge")
@@ -240,11 +229,11 @@ def ss_forcing_run(n: int) -> Orientation:
     ell3 = next(d for d in pool if d not in (ell1, ell2))
 
     before = len(state.dims)
-    state.answer(vertex_of({ell1: 1}))
+    state.answer(vertex_of([ell1]))
     if len(state.dims) != before:
         raise RuntimeError("fourth query must not grow L")
 
-    state.answer(vertex_of({ell3: 1}))
+    state.answer(vertex_of([ell3]))
     if sorted(state.dims) != sorted(pool):
         raise RuntimeError("the schedule must end with L equal to the pool")
 

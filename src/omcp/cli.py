@@ -25,7 +25,10 @@ from .signs import GroundSet
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def _write_json(path: str, data: dict) -> None:

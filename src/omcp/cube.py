@@ -2,10 +2,13 @@
 
 Vertices of the n-cube are integers whose binary string (most significant
 bit = dimension 0) matches the serialized vertex order 00, 01, 10, 11, ...
-An orientation maps each vertex to a tuple of half-edge signs, +1 for
-outgoing, -1 for incoming, 0 for an unoriented (degenerate) half-edge in
-the partial case.  Orientations are either dense tables or pure query
-oracles; both are immutable after construction.
+An orientation maps each vertex to its outmap, a tuple of half-edge signs:
++1 for outgoing, -1 for incoming, 0 for an unoriented (degenerate)
+half-edge in the partial case.  Outmaps are the only stored and public
+form.  The pair conditions and the downward rule run on two bit masks per
+outmap, outgoing and unoriented, in vertex bit order; those masks are
+derived inside this module only.  Orientations are either dense tables or
+pure query oracles; both are immutable after construction.
 """
 
 from __future__ import annotations
@@ -28,6 +31,63 @@ def vertex_bits(v: int, n: int) -> tuple[int, ...]:
 
 def flip_vertex(v: int, i: int, n: int) -> int:
     return v ^ (1 << (n - 1 - i))
+
+
+def project(v: int, dims: Sequence[int], n: int) -> int:
+    """Vertex of the len(dims)-cube given by the coordinates of v on ``dims``, in order."""
+    p = 0
+    for d in dims:
+        p = p << 1 | vertex_bit(v, d, n)
+    return p
+
+
+def _masks(out: Sequence[int]) -> tuple[int, int]:
+    """(outgoing, unoriented) bit masks of one outmap, in vertex bit order."""
+    plus = zero = 0
+    for s in out:
+        plus = plus << 1 | (s == PLUS)
+        zero = zero << 1 | (s == ZERO)
+    return plus, zero
+
+
+def downward_outmap(v: int, out: Sequence[int]) -> tuple[int, ...]:
+    """The outmap of v with every unoriented half-edge directed downward.
+
+    Downward means toward the endpoint with fewer ones: the half-edge of
+    dimension i is outgoing exactly when v has a one there.
+    """
+    n = len(out)
+    plus, zero = _masks(out)
+    down = plus | (zero & v)
+    return tuple(PLUS if vertex_bit(down, i, n) else MINUS for i in range(n))
+
+
+def _agree(d: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Szabo-Welzl pair test: the outmaps are equal on every dimension of d."""
+    return d & ((a[0] ^ b[0]) | (a[1] ^ b[1])) == 0
+
+
+def _settled(d: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Partial test: span d is unoriented at both ends, or split somewhere."""
+    unoriented = d & a[1] & b[1] == d
+    split = d & (a[0] ^ b[0]) & ~(a[1] | b[1]) != 0
+    return unoriented or split
+
+
+def is_sw_pair(v: int, w: int, out_v: Sequence[int], out_w: Sequence[int]) -> bool:
+    """v != w and the outmaps agree on every dimension where v and w differ (UV1)."""
+    return v != w and _agree(v ^ w, _masks(out_v), _masks(out_w))
+
+
+def _first_pair(
+    masks: list[tuple[int, int]], bad: Callable[[int, tuple, tuple], bool]
+) -> tuple[int, int] | None:
+    """First pair v < w, in that order, with ``bad(v ^ w, masks[v], masks[w])``."""
+    for v, a in enumerate(masks):
+        for w in range(v + 1, len(masks)):
+            if bad(v ^ w, a, masks[w]):
+                return v, w
+    return None
 
 
 def vertex_name(v: int, n: int) -> str:
@@ -91,7 +151,12 @@ class Orientation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Orientation":
-        o = cls.from_outmaps(d["outmaps"])
+        outmaps = d.get("outmaps") if isinstance(d, dict) else None
+        if not isinstance(outmaps, list) or not outmaps or not all(
+            isinstance(row, str) for row in outmaps
+        ):
+            raise ValueError("'outmaps' must be a non-empty list of sign strings")
+        o = cls.from_outmaps(outmaps)
         if o.n != d.get("n", o.n):
             raise ValueError("dimension does not match outmap length")
         return o
@@ -169,12 +234,7 @@ class Face:
 
     def project(self, v: int) -> int:
         """Vertex of the dim(face)-cube given by the spanned coordinates."""
-        span = sorted(self.spanned)
-        p = 0
-        for k, d in enumerate(span):
-            if vertex_bit(v, d, self.n):
-                p |= 1 << (len(span) - 1 - k)
-        return p
+        return project(v, sorted(self.spanned), self.n)
 
 
 def find_sw_violation(o: Orientation) -> tuple[int, int] | None:
@@ -183,21 +243,10 @@ def find_sw_violation(o: Orientation) -> tuple[int, int] | None:
     The returned pair is exactly the UV1 witness shape; None means the
     orientation satisfies the pairwise condition equivalent to being a USO.
     """
-    n = o.n
-    maps = [o.outmap(v) for v in o.vertices()]
-    for v in o.vertices():
-        if ZERO in maps[v]:
-            raise ValueError("total orientation required")
-    for v in o.vertices():
-        for w in range(v + 1, 1 << n):
-            ok = False
-            for i in range(n):
-                if vertex_bit(v, i, n) != vertex_bit(w, i, n) and maps[v][i] != maps[w][i]:
-                    ok = True
-                    break
-            if not ok:
-                return v, w
-    return None
+    masks = [_masks(o.outmap(v)) for v in o.vertices()]
+    if any(zero for _, zero in masks):
+        raise ValueError("total orientation required")
+    return _first_pair(masks, _agree)
 
 
 def _face_iter(n: int):
@@ -233,20 +282,9 @@ def is_uso_exhaustive(o: Orientation, limit: int | None = None) -> bool:
 
 def is_partially_sw(o: Orientation) -> tuple[bool, tuple[int, int] | None]:
     """Every pair is either fully unoriented across its span or split somewhere."""
-    n = o.n
-    maps = [o.outmap(v) for v in o.vertices()]
-    for v in o.vertices():
-        for w in range(v + 1, 1 << n):
-            spanned = [
-                i for i in range(n) if vertex_bit(v, i, n) != vertex_bit(w, i, n)
-            ]
-            all_zero = all(maps[v][i] == ZERO and maps[w][i] == ZERO for i in spanned)
-            split = any(
-                maps[v][i] != ZERO and maps[w][i] == -maps[v][i] for i in spanned
-            )
-            if not (all_zero or split):
-                return False, (v, w)
-    return True, None
+    masks = [_masks(o.outmap(v)) for v in o.vertices()]
+    witness = _first_pair(masks, lambda d, a, b: not _settled(d, a, b))
+    return witness is None, witness
 
 
 def complete_downward(o: Orientation) -> Orientation:
@@ -254,15 +292,7 @@ def complete_downward(o: Orientation) -> Orientation:
     ok, witness = is_partially_sw(o)
     if not ok:
         raise ValueError(f"not partially Szabo-Welzl, witness pair {witness}")
-    n = o.n
-    table = []
-    for v in o.vertices():
-        row = list(o.outmap(v))
-        for i in range(n):
-            if row[i] == ZERO:
-                row[i] = PLUS if vertex_bit(v, i, n) else MINUS
-        table.append(tuple(row))
-    return Orientation(n, table=table)
+    return Orientation(o.n, table=[downward_outmap(v, o.outmap(v)) for v in o.vertices()])
 
 
 def unoriented_faces(o: Orientation) -> list[Face]:
@@ -386,21 +416,16 @@ def jump_with_fallback(query: Callable[[int], tuple[int, ...]], n: int) -> int:
     v = 0
     while v not in visited:
         visited.add(v)
-        out = query(v)
-        if all(s == MINUS for s in out):
+        plus, zero = _masks(query(v))
+        if not plus | zero:
             return v
-        mask = 0
-        for i, s in enumerate(out):
-            if s == PLUS:
-                mask |= 1 << (n - 1 - i)
-        v ^= mask
+        v ^= plus
     return ordered_scan(query, n)
 
 
 ALGORITHMS: dict[str, Callable] = {
     "ordered-scan": ordered_scan,
     "jump": jump_with_fallback,
-    "jump-with-fallback": jump_with_fallback,
 }
 
 
@@ -443,25 +468,17 @@ def enumerate_usos(n: int) -> list[Orientation]:
 
 def all_down_orientation(n: int) -> Orientation:
     """Every edge directed toward the vertex with fewer ones; sink is 0."""
-    return Orientation(
-        n,
-        table=[
-            tuple(PLUS if vertex_bit(v, i, n) else MINUS for i in range(n))
-            for v in range(1 << n)
-        ],
-    )
+    return mirrored_down_orientation(n, ())
 
 
 def mirrored_down_orientation(n: int, flip_dims: Iterable[int]) -> Orientation:
-    """All-down after mirroring the given coordinates; still a USO."""
-    flips = set(flip_dims)
+    """All-down after mirroring the given coordinates; still a USO.
+
+    Vertex v takes the downward completion of an all-unoriented outmap at
+    its mirror image ``v ^ flips``.
+    """
+    flips = sum(flip_vertex(0, i, n) for i in set(flip_dims))
+    unoriented = (ZERO,) * n
     return Orientation(
-        n,
-        table=[
-            tuple(
-                PLUS if vertex_bit(v, i, n) ^ (i in flips) else MINUS
-                for i in range(n)
-            )
-            for v in range(1 << n)
-        ],
+        n, table=[downward_outmap(v ^ flips, unoriented) for v in range(1 << n)]
     )

@@ -301,11 +301,16 @@ class ExplicitOM:
 
 def ground_from_json(d: dict) -> GroundSet:
     """GroundSet from instance JSON; complementary structure is recognized by shape."""
-    elements = tuple(d["ground"])
+    if not isinstance(d, dict):
+        raise ValueError("an instance must be a JSON object")
+    elements = d["ground"]
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise ValueError("'ground' must be a list of element names")
+    elements = tuple(elements)
     n = d.get("n")
     if n is not None:
-        if n < 1:
-            raise ValueError("complementary ground sets need n >= 1")
+        if type(n) is not int or n < 1:
+            raise ValueError("complementary ground sets need an integer n >= 1")
         with_q = len(elements) == 2 * n + 1
         expected = GroundSet.complementary(n, with_q=with_q)
         if elements != expected.elements:

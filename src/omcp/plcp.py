@@ -176,28 +176,9 @@ def localization_from_q(base: RealizedOM, q: Vector):
     """
     from .extend import Localization
 
-    n = base.rank
-    cols = [base.matrix.column(j) for j in range(base.matrix.cols)]
     table: dict[SignedSet, int] = {}
-    for combo in itertools.combinations(range(base.matrix.cols), n - 1):
-        sub = [cols[j] for j in combo]
-        if sub and linalg.mat_rank([[c[i] for c in sub] for i in range(n)]) != n - 1:
-            continue
-        y = linalg.kernel_vector_of_columns(
-            [[col[i] for col in sub] for i in range(n)] if sub else []
-        )
-        if y is None:
-            if sub:
-                continue
-            y = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        signs = []
-        for col in cols:
-            val = sum(y[i] * col[i] for i in range(n))
-            signs.append(PLUS if val > 0 else (MINUS if val < 0 else ZERO))
-        if all(s == ZERO for s in signs):
-            continue
-        d = SignedSet(base.ground, tuple(signs))
-        q_val = sum(y[i] * -q[i] for i in range(n))
+    for y, d in base.hyperplanes():
+        q_val = sum(y[i] * -q[i] for i in range(base.rank))
         sigma = PLUS if q_val > 0 else (MINUS if q_val < 0 else ZERO)
         table[d] = sigma
         table[d.negate()] = -sigma

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .cube import is_sw_pair, vertex_bits
 from .guards import OMCP_SCAN_DIM, check
 from .om import NOT_A_BASIS, NotABasis
 from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet, sign_product
@@ -172,8 +173,7 @@ def complementary_vertex_sets(ground: GroundSet):
     """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1)."""
     n = ground.n_pairs
     for v in range(1 << n):
-        bits = [(v >> (n - 1 - i)) & 1 for i in range(n)]
-        yield v, ground.complementary_basis(bits)
+        yield v, ground.complementary_basis(vertex_bits(v, n))
 
 
 def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
@@ -308,15 +308,9 @@ def verify_u1(cert: U1, orientation) -> bool:
 
 
 def verify_uv1(cert: UV1, orientation) -> bool:
-    if cert.v == cert.w:
-        return False
-    n = cert.n
-    ov, ow = orientation.outmap(cert.v), orientation.outmap(cert.w)
-    for i in range(n):
-        bit = 1 << (n - 1 - i)
-        if (cert.v & bit) != (cert.w & bit) and ov[i] != ow[i]:
-            return False
-    return True
+    return is_sw_pair(
+        cert.v, cert.w, orientation.outmap(cert.v), orientation.outmap(cert.w)
+    )
 
 
 def verify_certificate(cert: Certificate, instance) -> bool:

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
@@ -149,11 +149,15 @@ def circuits_from_matrix(
 
 
 def is_generic(matrix: RationalMatrix) -> bool:
-    """Every row-count-sized column subset is nonsingular (uniform realization)."""
+    """Every row-count-sized column subset is nonsingular (uniform realization).
+
+    Each column's denominators are cleared once; a positive column scaling
+    cannot make a minor vanish, so the minors are taken on integers.
+    """
     r = matrix.rows
+    cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(matrix.cols)]
     for combo in itertools.combinations(range(matrix.cols), r):
-        sub = matrix.columns(combo)
-        if linalg.det(sub) == 0:
+        if linalg.det([[cols[j][i] for j in combo] for i in range(r)]) == 0:
             return False
     return True
 
@@ -285,13 +289,15 @@ class RealizedOM:
             signs.append(PLUS if v > 0 else (MINUS if v < 0 else ZERO))
         return SignedSet(self.ground, tuple(signs))
 
-    def cocircuits(self, limit: int | None = None) -> frozenset[SignedSet]:
-        """All cocircuits, one ± pair per hyperplane spanned by columns."""
-        if "_cocircuits" in self.__dict__:
-            return self.__dict__["_cocircuits"]
+    def hyperplanes(self) -> Iterator[tuple[list[Fraction], SignedSet]]:
+        """``(y, cocircuit)`` per set of rank - 1 columns spanning a hyperplane.
+
+        y is normal to the hyperplane; the cocircuit holds the signs of
+        ``y . column`` over the integer columns.  A hyperplane spanned by
+        several column sets comes once per set.
+        """
         n = self.rank
         cols = self._columns
-        result: set[SignedSet] = set()
         for combo in itertools.combinations(range(self.matrix.cols), n - 1):
             sub = [cols[j] for j in combo]
             if sub and linalg.mat_rank([[c[i] for c in sub] for i in range(n)]) != n - 1:
@@ -308,12 +314,15 @@ class RealizedOM:
             for col in cols:
                 v = sum(y[i] * col[i] for i in range(n))
                 signs.append(PLUS if v > 0 else (MINUS if v < 0 else ZERO))
-            if all(s == ZERO for s in signs):
-                continue
-            first = next(s for s in signs if s != ZERO)
-            if first == MINUS:
-                signs = [-s for s in signs]
-            d = SignedSet(self.ground, tuple(signs))
+            if any(signs):
+                yield y, SignedSet(self.ground, tuple(signs))
+
+    def cocircuits(self, limit: int | None = None) -> frozenset[SignedSet]:
+        """All cocircuits, one ± pair per hyperplane spanned by columns."""
+        if "_cocircuits" in self.__dict__:
+            return self.__dict__["_cocircuits"]
+        result: set[SignedSet] = set()
+        for _, d in self.hyperplanes():
             result.add(d)
             result.add(d.negate())
         out = frozenset(result)

@@ -19,50 +19,44 @@ solution and violation certificates of the complementarity instance.
 
 from __future__ import annotations
 
-from .cube import Orientation, vertex_bit, vertex_bits
+from .cube import Orientation, downward_outmap, is_sw_pair, vertex_bit, vertex_bits
 from .om import NotABasis
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
-from .signs import MINUS, PLUS, ZERO, GroundSet
+from .signs import MINUS, GroundSet
 
 
 def vertex_basis(oracle_ground: GroundSet, v: int, n: int) -> frozenset[str]:
     return oracle_ground.complementary_basis(vertex_bits(v, n))
 
 
-def _dimension_signs(oracle, v: int, n: int):
-    """(basis, C(B(v), q), per-dimension circuit entries) or (basis, None, None)."""
+def _partial_outmap(oracle, v: int, n: int):
+    """(basis, partial outmap at v), the outmap None when B(v) is not a basis.
+
+    The half-edge of dimension i carries the negated entry of C(B(v), q)
+    at the basis element of that dimension.
+    """
     ground: GroundSet = oracle.ground
     basis = vertex_basis(ground, v, n)
     answer = oracle.query(basis, ground.q)
     if isinstance(answer, NotABasis):
-        return basis, None, None
-    entries = []
-    for i in range(n):
-        s, t = ground.pair(i)
-        entries.append(answer.sign_of(t if vertex_bit(v, i, n) else s))
-    return basis, answer, entries
+        return basis, None
+    return basis, tuple(
+        -answer.sign_of(ground.pair(i)[vertex_bit(v, i, n)]) for i in range(n)
+    )
 
 
 def orient_vertex_total(oracle, v: int, n: int) -> tuple[int, ...]:
-    _, answer, entries = _dimension_signs(oracle, v, n)
-    if answer is None:
+    _, out = _partial_outmap(oracle, v, n)
+    if out is None:
         return (MINUS,) * n
-    out = []
-    for i, c in enumerate(entries):
-        if c == ZERO:
-            out.append(PLUS if vertex_bit(v, i, n) else MINUS)
-        else:
-            out.append(PLUS if c == MINUS else MINUS)
-    return tuple(out)
+    return downward_outmap(v, out)
 
 
 def orient_vertex_partial(oracle, v: int, n: int) -> tuple[int, ...]:
-    basis, answer, entries = _dimension_signs(oracle, v, n)
-    if answer is None:
+    basis, out = _partial_outmap(oracle, v, n)
+    if out is None:
         raise ValueError(f"complementary set {sorted(basis)} is not a basis")
-    return tuple(
-        ZERO if c == ZERO else (PLUS if c == MINUS else MINUS) for c in entries
-    )
+    return out
 
 
 def klaus_orientation(oracle, n: int, partial: bool = False) -> Orientation:
@@ -90,11 +84,9 @@ def map_back_uv1(oracle, v: int, w: int, n: int) -> MV3 | MV2:
     """Szabo-Welzl violation pair -> MV3 (or MV2 when a basis query fails)."""
     if v == w:
         raise ValueError("violation pair must be distinct")
-    ov = orient_vertex_total(oracle, v, n)
-    ow = orient_vertex_total(oracle, w, n)
-    for i in range(n):
-        if vertex_bit(v, i, n) != vertex_bit(w, i, n) and ov[i] != ow[i]:
-            raise ValueError("pair is not a Szabo-Welzl violation of the derived orientation")
+    ov, ow = orient_vertex_total(oracle, v, n), orient_vertex_total(oracle, w, n)
+    if not is_sw_pair(v, w, ov, ow):
+        raise ValueError("pair is not a Szabo-Welzl violation of the derived orientation")
     ground: GroundSet = oracle.ground
     for u in (v, w):
         basis = vertex_basis(ground, u, n)

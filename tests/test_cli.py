@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import omcp
 
 from omcp.cli import main
 from conftest import (
@@ -194,3 +200,26 @@ def test_cli_round_trip_reparse(tmp_path, capsys):
     path = write(tmp_path, "again.json", report)
     code2, report2 = run(capsys, ["om", "solve-omcp", path])
     assert code2 == 0 and report2 == {"kind": "M1", "circuit": "0++"}
+
+
+MALFORMED = [
+    pytest.param(["uso", "check"], {"n": 2, "outmaps": []}, id="uso-check-no-outmaps"),
+    pytest.param(["om", "solve-omcp"], [1, 2], id="solve-omcp-array"),
+    pytest.param(["reduce", "klaus"], [1, 2], id="klaus-array"),
+    pytest.param(["om", "solve-omcp"], {"n": 1, "ground": 5}, id="solve-omcp-int-ground"),
+    pytest.param(["reduce", "klaus"], {"n": 1, "ground": 5}, id="klaus-int-ground"),
+]
+
+
+@pytest.mark.parametrize("command, data", MALFORMED)
+def test_malformed_input_exits_cleanly(tmp_path, command, data):
+    path = write(tmp_path, "bad.json", data)
+    src = str(Path(omcp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "omcp.cli", *command, path],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -247,7 +247,7 @@ def test_sink_find_jump():
 def test_jump_fallback_counts_distinct_queries():
     # mirrored-down sends the jump straight to the sink
     o = mirrored_down_orientation(3, [0, 1, 2])
-    sink, count = sink_find("jump-with-fallback", o)
+    sink, count = sink_find("jump", o)
     assert sink == 7 and count <= 3
 
 

@@ -1,0 +1,158 @@
+"""The mask-based cube conditions against sign-by-sign reference definitions.
+
+The references below read vertex coordinates from binary strings and
+compare outmaps one sign at a time, so they share no code with
+``omcp.cube``.  Random tables cover total and partial orientations up to
+n = 4: independent signs per half-edge, edge-consistent orientations, and
+mirrored all-down orientations with one face left unoriented (these are
+partially Szabo-Welzl, so the downward completion succeeds on them).
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omcp.cube import (
+    Orientation,
+    complete_downward,
+    find_sw_violation,
+    is_partially_sw,
+    mirrored_down_orientation,
+)
+from omcp.pmatroid import UV1, verify_uv1
+
+
+def ref_bits(v, n):
+    return [c == "1" for c in format(v, f"0{n}b")]
+
+
+def ref_span(v, w, n):
+    return [i for i, (a, b) in enumerate(zip(ref_bits(v, n), ref_bits(w, n))) if a != b]
+
+
+def ref_sw_pair(maps, v, w, n):
+    """v != w and equal signs on every dimension where v and w differ."""
+    return v != w and all(maps[v][i] == maps[w][i] for i in ref_span(v, w, n))
+
+
+def ref_pairs(n):
+    return [(v, w) for v in range(1 << n) for w in range(v + 1, 1 << n)]
+
+
+def ref_find_sw_violation(maps, n):
+    return next((p for p in ref_pairs(n) if ref_sw_pair(maps, *p, n)), None)
+
+
+def ref_partial_witness(maps, n):
+    """First pair neither unoriented across its span at both ends nor split."""
+    for v, w in ref_pairs(n):
+        span = ref_span(v, w, n)
+        unoriented = all(maps[v][i] == 0 and maps[w][i] == 0 for i in span)
+        split = any(maps[v][i] != 0 and maps[w][i] == -maps[v][i] for i in span)
+        if not (unoriented or split):
+            return v, w
+    return None
+
+
+def ref_downward(maps, n):
+    """Each zero becomes +1 where the vertex has a one, else -1."""
+    return [
+        tuple(s if s != 0 else (1 if bit else -1) for s, bit in zip(row, ref_bits(v, n)))
+        for v, row in enumerate(maps)
+    ]
+
+
+@st.composite
+def free_tables(draw, signs):
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.sampled_from(signs)] * n)
+    return n, draw(st.lists(row, min_size=1 << n, max_size=1 << n))
+
+
+@st.composite
+def edge_tables(draw, signs):
+    n = draw(st.integers(1, 4))
+    table = [[0] * n for _ in range(1 << n)]
+    for v in range(1 << n):
+        for i in range(n):
+            if not ref_bits(v, n)[i]:
+                w = v | (1 << (n - 1 - i))
+                s = draw(st.sampled_from(signs))
+                table[v][i], table[w][i] = s, -s
+    return n, [tuple(r) for r in table]
+
+
+@st.composite
+def face_unoriented_tables(draw):
+    n = draw(st.integers(1, 4))
+    flips = draw(st.sets(st.integers(0, n - 1)))
+    pattern = draw(st.lists(st.sampled_from("01*"), min_size=n, max_size=n))
+    table = [list(r) for r in mirrored_down_orientation(n, flips).to_outmaps()]
+    rows = []
+    for v, row in enumerate(table):
+        bits = format(v, f"0{n}b")
+        inside = all(p == "*" or p == b for p, b in zip(pattern, bits))
+        rows.append(tuple(
+            0 if inside and p == "*" else (1 if c == "+" else -1)
+            for c, p in zip(row, pattern)
+        ))
+    return n, rows
+
+
+TOTAL = st.one_of(free_tables((-1, 1)), edge_tables((-1, 1)))
+PARTIAL = st.one_of(
+    free_tables((-1, 0, 1)), edge_tables((-1, 0, 1)), face_unoriented_tables()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TOTAL)
+def test_find_sw_violation_matches_reference(case):
+    n, maps = case
+    assert find_sw_violation(Orientation(n, table=maps)) == ref_find_sw_violation(maps, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PARTIAL)
+def test_find_sw_violation_rejects_partial_tables(case):
+    n, maps = case
+    o = Orientation(n, table=maps)
+    if any(0 in row for row in maps):
+        with pytest.raises(ValueError):
+            find_sw_violation(o)
+    else:
+        assert find_sw_violation(o) == ref_find_sw_violation(maps, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TOTAL, PARTIAL))
+def test_is_partially_sw_matches_reference_with_witness(case):
+    n, maps = case
+    witness = ref_partial_witness(maps, n)
+    assert is_partially_sw(Orientation(n, table=maps)) == (witness is None, witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TOTAL, PARTIAL), st.data())
+def test_verify_uv1_matches_reference(case, data):
+    n, maps = case
+    o = Orientation(n, table=maps)
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    w = data.draw(st.integers(0, (1 << n) - 1))
+    assert verify_uv1(UV1(n, v, w), o) == ref_sw_pair(maps, v, w, n)
+    found = find_sw_violation(o) if all(0 not in row for row in maps) else None
+    if found is not None:
+        assert verify_uv1(UV1(n, *found), o)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARTIAL)
+def test_complete_downward_matches_reference(case):
+    n, maps = case
+    o = Orientation(n, table=maps)
+    if ref_partial_witness(maps, n) is not None:
+        with pytest.raises(ValueError):
+            complete_downward(o)
+    else:
+        completed = complete_downward(o)
+        assert [completed.outmap(v) for v in o.vertices()] == ref_downward(maps, n)

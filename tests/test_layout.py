@@ -1,0 +1,51 @@
+"""Static checks on the package layout.
+
+The benchmark tracer in ``perfbench/tracing.py`` wraps every name in its
+``ENTRY_POINTS`` table; a rename in ``omcp`` that drops one of those names
+fails here.  Library code must not rely on ``assert``, which ``python -O``
+strips.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import omcp
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(omcp.__file__).resolve().parent
+
+
+def _entry_points() -> dict[str, tuple[str, ...]]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ENTRY_POINTS
+
+
+def test_traced_entry_points_resolve():
+    missing = []
+    for layer, attrs in _entry_points().items():
+        module = importlib.import_module(f"omcp.{layer}")
+        for attr in attrs:
+            owner, key = module, attr
+            if "." in attr:
+                cls_name, key = attr.split(".")
+                owner = vars(module).get(cls_name)
+            raw = vars(owner).get(key) if owner is not None else None
+            if not callable(getattr(raw, "__func__", raw)):
+                missing.append(f"{layer}.{attr}")
+    assert missing == []
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
