@@ -4,9 +4,14 @@
 this directory), the exit code and the exact stdout.  The two n=5 P-LCPs
 share ``M = plcp.random_p_matrix(5, Random(2302))``: ``lcp5_generic`` has
 a zero-free random q and is non-degenerate, ``lcp5_degenerate`` has
-q = (0, 3, 0, -2, 0).  The expected outputs were recorded once and are
-never regenerated: any change to the exact arithmetic or to the
-reduction that alters a sign shows up here.
+q = (0, 3, 0, -2, 0).  ``loc2_lex`` and ``loc2_degenerate`` extend the
+explicit base [I | -M] with M = [[2, 1], [-1, 3]] by the localizations
+[t1 -, s2 +] and [t2 -]; the second is degenerate.  ``omcp3_nonp`` is
+``lcp to-omcp`` of ``lcp3_nonp``, and ``uso3_generic`` is the
+``--emit-uso`` output of the generic P-LCP ``lcp3_generic``.  The
+expected outputs were recorded once and are never regenerated: any
+change to the exact arithmetic or to the reduction that alters a sign
+shows up here.
 """
 
 import contextlib
