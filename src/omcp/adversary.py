@@ -44,15 +44,16 @@ from .signs import MINUS, PLUS, ZERO, GroundSet
 class AdversaryState:
     """Mutable game state: current localization, hypersink subcube, transcript."""
 
-    def __init__(self, base, limit: int | None = None):
+    def __init__(self, base):
         ground: GroundSet = base.ground
         if ground.pairs is None or ground.q is not None:
             raise ValueError("adversary base must live on a complementary ground set")
-        if not base.is_uniform():
-            raise ValueError("adversary base must be uniform")
         self.base = base
         self.n = ground.n_pairs
-        check(self.n, GAME_DIM, limit, "game dimension")
+        # The guard comes first: the uniformity scan takes C(2n, n) determinants.
+        check(self.n, GAME_DIM, "game dimension")
+        if not base.is_uniform():
+            raise ValueError("adversary base must be uniform")
         self.sigma = Localization(base)
         self.hypersink = Face.whole(self.n)
         self.transcript: list[tuple[int, tuple[int, ...]]] = []
@@ -111,9 +112,9 @@ def run_game(algo, state: AdversaryState) -> GameResult:
     return GameResult(counter.count, tuple(state.transcript), oracle, claimed)
 
 
-def random_uniform_base(n: int, rng: random.Random, max_tries: int = 64) -> RealizedOM:
+def random_uniform_base(n: int, rng: random.Random) -> RealizedOM:
     """Generic realization [I; -M] of a random P-matrix; uniformity checked."""
-    for _ in range(max_tries):
+    for _ in range(64):
         m = random_p_matrix(n, rng)
         base = RealizedOM(
             hstack(RationalMatrix.identity(n), negated(m)), GroundSet.complementary(n)

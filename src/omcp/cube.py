@@ -254,10 +254,10 @@ def _face_iter(n: int):
         yield pattern  # 2 marks a spanned dimension
 
 
-def is_uso_exhaustive(o: Orientation, limit: int | None = None) -> bool:
+def is_uso_exhaustive(o: Orientation) -> bool:
     """Definition check: every non-empty subcube has exactly one sink."""
     n = o.n
-    check(n, USO_EXHAUSTIVE_DIM, limit, "cube dimension")
+    check(n, USO_EXHAUSTIVE_DIM, "cube dimension")
     maps = [o.outmap(v) for v in o.vertices()]
     for pattern in _face_iter(n):
         spanned = [i for i, p in enumerate(pattern) if p == 2]
@@ -370,7 +370,7 @@ def sink_vertex(o: Orientation) -> int:
     raise ValueError("orientation has no sink")
 
 
-def holt_klee_value(o: Orientation, limit: int | None = None) -> int:
+def holt_klee_value(o: Orientation) -> int:
     """Maximum number of internally vertex-disjoint directed source-sink paths.
 
     Unit-capacity max flow on the node-split digraph; the source and sink
@@ -378,7 +378,7 @@ def holt_klee_value(o: Orientation, limit: int | None = None) -> int:
     """
     import networkx as nx  # deferred: costs most of ``import omcp`` and only this needs it
 
-    if not is_uso_exhaustive(o, limit):
+    if not is_uso_exhaustive(o):
         raise ValueError("Holt-Klee value is defined for USOs")
     n = o.n
     src, snk = source_vertex(o), sink_vertex(o)
@@ -407,7 +407,7 @@ def ordered_scan(query: Callable[[int], tuple[int, ...]], n: int) -> int:
     for v in range(1 << n):
         if all(s == MINUS for s in query(v)):
             return v
-    raise RuntimeError("no sink found by full scan")
+    raise ValueError("orientation has no sink")
 
 
 def jump_with_fallback(query: Callable[[int], tuple[int, ...]], n: int) -> int:
@@ -429,13 +429,12 @@ ALGORITHMS: dict[str, Callable] = {
 }
 
 
-def sink_find(algo, o: Orientation, n: int | None = None) -> tuple[int, int]:
+def sink_find(algo, o: Orientation) -> tuple[int, int]:
     """Run a deterministic sink-finding algorithm; returns (sink, query count)."""
     if isinstance(algo, str):
         algo = ALGORITHMS[algo]
-    n = n if n is not None else o.n
     counter = CountingOracle(o.outmap)
-    v = algo(counter, n)
+    v = algo(counter, o.n)
     if any(s != MINUS for s in counter(v)):
         raise RuntimeError("algorithm returned a non-sink")
     return v, counter.count

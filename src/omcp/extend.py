@@ -1,13 +1,15 @@
 """Single-element extensions specified by localizations.
 
 A localization assigns a sign to every cocircuit of a base matroid and
-thereby determines an extension by one new element q.  Lexicographic
+thereby determines an extension by one new element, which is always
+named ``q`` and placed last in the extended ground set.  Lexicographic
 atoms [s*e] (sign s times the cocircuit's entry at e) are localizations,
 and localizations are closed under first-nonzero composition, so a
 composition list of atoms is kept symbolic; explicit cocircuit tables are
 supported as well.  The extension is never materialized on the main path:
 :class:`ExtensionOM` answers fundamental-circuit queries directly from
-the rule C(B, q)_e = -sigma(C*(B, e)).
+the rule C(B, q)_e = -sigma(C*(B, e)), and is the one place that builds
+C(B, q).
 """
 
 from __future__ import annotations
@@ -131,25 +133,12 @@ def all_zero_localization(base) -> Localization:
     return Localization(base)
 
 
-def extension_fundamental_circuit(
-    sigma: Localization, basis: Iterable[str], q_name: str = "q"
-) -> SignedSet:
+def extension_fundamental_circuit(sigma: Localization, basis: Iterable[str]) -> SignedSet:
     """C(B, q) of the extension specified by sigma, for a basis B of the base."""
-    names = frozenset(basis)
-    base = sigma.base
-    if not base.is_basis(names):
+    answer = ExtensionOM(sigma).query(basis, "q")
+    if isinstance(answer, NotABasis):
         raise ValueError("extension fundamental circuits need a basis of the base")
-    ground = extension_ground(base.ground, q_name)
-    signs = [ZERO] * ground.size
-    for e in names:
-        d = base.fundamental_cocircuit(names, e)
-        signs[ground.index(e)] = sign_negate(sigma.evaluate(d))
-    signs[ground.index(ground.q if ground.q is not None else q_name)] = PLUS
-    return SignedSet(ground, tuple(signs))
-
-
-def extension_ground(base_ground: GroundSet, q_name: str = "q") -> GroundSet:
-    return base_ground.extended_by_q(q_name)
+    return answer
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,35 +152,33 @@ class ExtensionOM:
     """
 
     sigma: Localization
-    q_name: str = "q"
 
     @cached_property
     def ground(self) -> GroundSet:
-        return extension_ground(self.sigma.base.ground, self.q_name)
+        return self.sigma.base.ground.extended_by_q()
 
     @property
     def base(self):
         return self.sigma.base
 
-    def _q(self) -> str:
-        return self.ground.q if self.ground.q is not None else self.q_name
-
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         names = frozenset(basis)
-        q = self._q()
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
-        if q in names:
+        if "q" in names:
             raise ValueError("queries with q inside the basis are not supported")
-        if e == q:
-            if not self.base.is_basis(names):
-                return NOT_A_BASIS
-            return extension_fundamental_circuit(self.sigma, names, q)
-        answer = self.base.query(names, e)
-        if isinstance(answer, NotABasis):
-            return answer
-        signs = tuple(answer.signs) + (ZERO,)
-        return SignedSet(self.ground, signs)
+        if e != "q":
+            answer = self.base.query(names, e)
+            if isinstance(answer, NotABasis):
+                return answer
+            return SignedSet(self.ground, tuple(answer.signs) + (ZERO,))
+        if not self.base.is_basis(names):
+            return NOT_A_BASIS
+        signs = [ZERO] * (self.ground.size - 1) + [PLUS]
+        for b in names:
+            d = self.base.fundamental_cocircuit(names, b)
+            signs[self.ground.index(b)] = sign_negate(self.sigma.evaluate(d))
+        return SignedSet(self.ground, tuple(signs))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -205,18 +192,19 @@ class LocalizationValidation:
     violation: AxiomViolation | None = None
 
 
-def materialize_extension(sigma: Localization, q_name: str = "q") -> ExplicitOM:
+def materialize_extension(sigma: Localization) -> ExplicitOM:
     """Full circuit list of the extension: lifted base circuits plus every
     ±C(B, q) over all bases of the base.  Intended for small instances."""
     base = sigma.base
-    ground = extension_ground(base.ground, q_name)
+    oracle = ExtensionOM(sigma)
+    ground = oracle.ground
     circuits: set[SignedSet] = set()
     for c in base.circuit_set():
         lifted = SignedSet(ground, tuple(c.signs) + (ZERO,))
         circuits.add(lifted)
         circuits.add(lifted.negate())
     for b in _bases_of(base):
-        c = extension_fundamental_circuit(sigma, b, q_name)
+        c = oracle.query(b, "q")
         circuits.add(c)
         circuits.add(c.negate())
     return ExplicitOM(ground, frozenset(circuits))
@@ -233,9 +221,7 @@ def _bases_of(base):
             yield frozenset(combo)
 
 
-def validate_localization(
-    sigma: Localization, limit: int | None = None
-) -> LocalizationValidation:
+def validate_localization(sigma: Localization) -> LocalizationValidation:
     """Check that sigma describes a valid extension.
 
     Lexicographic atoms and their compositions are valid by construction
@@ -246,7 +232,7 @@ def validate_localization(
     if sigma.table is None:
         return LocalizationValidation(valid=True, by_construction=True)
     base = sigma.base
-    check(base.ground.size + 1, DUALITY_ELEMENTS, limit, "extension ground size")
+    check(base.ground.size + 1, DUALITY_ELEMENTS, "extension ground size")
     cocircuits = base.cocircuits()
     for d in cocircuits:
         try:

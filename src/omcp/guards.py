@@ -1,8 +1,9 @@
 """Size guards for brute-force enumerations.
 
 Every exhaustive routine is bounded by a default limit and raises
-:class:`SizeGuardError` instead of running unbounded.  The environment
-variable ``OMCP_GUARD_OVERRIDE`` raises (never lowers) all defaults at once.
+:class:`SizeGuardError` instead of running unbounded.  The only override
+is the environment variable ``OMCP_GUARD_OVERRIDE``: an integer that
+raises all defaults below it at once and never lowers one.
 """
 
 from __future__ import annotations
@@ -23,17 +24,18 @@ class SizeGuardError(RuntimeError):
     """An enumeration would exceed its configured size guard."""
 
 
-def resolve(default: int, override: int | None = None) -> int:
-    """Effective limit: explicit override, else env override, else default."""
-    if override is not None:
-        return override
+def resolve(default: int) -> int:
+    """Effective limit: the default, raised by ``OMCP_GUARD_OVERRIDE`` if set."""
     env = os.environ.get("OMCP_GUARD_OVERRIDE")
-    if env:
+    if not env:
+        return default
+    try:
         return max(default, int(env))
-    return default
+    except ValueError:
+        raise ValueError(f"OMCP_GUARD_OVERRIDE must be an integer, got {env!r}") from None
 
 
-def check(value: int, default: int, override: int | None, what: str) -> None:
-    limit = resolve(default, override)
+def check(value: int, default: int, what: str) -> None:
+    limit = resolve(default)
     if value > limit:
         raise SizeGuardError(f"{what}={value} exceeds size guard {limit}")

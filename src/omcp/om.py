@@ -172,17 +172,19 @@ class ExplicitOM:
             for combo in itertools.combinations(self.ground.elements, self.rank)
         )
 
-    def cocircuits(self, limit: int | None = None) -> frozenset[SignedSet]:
+    def cocircuits(self) -> frozenset[SignedSet]:
         """Inclusion-minimal non-empty signed sets orthogonal to all circuits.
 
         Brute force over all 3^|E| sign vectors, guarded.  Among candidates,
         one is dropped exactly when another candidate's support is a proper
         subset of its own; equal supports keep both sign variants.
         """
-        if "_cocircuits" in self.__dict__:
-            return self.__dict__["_cocircuits"]
+        return self._cocircuits
+
+    @cached_property
+    def _cocircuits(self) -> frozenset[SignedSet]:
         m = self.ground.size
-        check(m, DUALITY_ELEMENTS, limit, "ground-set size")
+        check(m, DUALITY_ELEMENTS, "ground-set size")
         circuit_masks = [(c.pos_mask, c.neg_mask) for c in self.circuits]
 
         candidates: list[tuple[int, int]] = []
@@ -213,7 +215,7 @@ class ExplicitOM:
         minimal = {
             s for s in supports if not any(t != s and t & ~s == 0 for t in supports)
         }
-        result = frozenset(
+        return frozenset(
             SignedSet(
                 self.ground,
                 tuple(
@@ -224,11 +226,9 @@ class ExplicitOM:
             for pos, neg in candidates
             if (pos | neg) in minimal
         )
-        self.__dict__["_cocircuits"] = result
-        return result
 
-    def dual(self, limit: int | None = None) -> "ExplicitOM":
-        return ExplicitOM(self.ground, self.cocircuits(limit))
+    def dual(self) -> "ExplicitOM":
+        return ExplicitOM(self.ground, self.cocircuits())
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """Circuit-oracle protocol: NotABasis, or the fundamental circuit C(B, e)."""
@@ -291,7 +291,10 @@ class ExplicitOM:
     @classmethod
     def from_json_dict(cls, d: dict, validate: bool = True) -> "ExplicitOM":
         ground = ground_from_json(d)
-        om = cls.from_encoded(ground, d.get("circuits", []))
+        circuits = d.get("circuits", [])
+        if not isinstance(circuits, list) or not all(isinstance(c, str) for c in circuits):
+            raise ValueError("'circuits' must be a list of sign strings")
+        om = cls.from_encoded(ground, circuits)
         if validate:
             violation = check_circuit_axioms(om.circuits, ground)
             if violation is not None:

@@ -162,9 +162,8 @@ def plcp_orientation(m: RationalMatrix, q, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def plcp_ppu(m: RationalMatrix, q, n: int | None = None) -> Orientation:
-    n = n if n is not None else m.rows
-    return Orientation(n, fn=lambda v: plcp_orientation(m, q, v)).materialize()
+def plcp_ppu(m: RationalMatrix, q) -> Orientation:
+    return Orientation(m.rows, fn=lambda v: plcp_orientation(m, q, v)).materialize()
 
 
 def localization_from_q(base: RealizedOM, q: Vector):
@@ -185,7 +184,7 @@ def localization_from_q(base: RealizedOM, q: Vector):
     return Localization(base, (), table)
 
 
-def random_p_matrix(n: int, rng: random.Random, spread: int = 3) -> RationalMatrix:
+def random_p_matrix(n: int, rng: random.Random) -> RationalMatrix:
     """Strictly diagonally dominant with positive diagonal, hence a P-matrix.
 
     Off-diagonal entries are non-zero rationals with varied denominators so
@@ -197,14 +196,12 @@ def random_p_matrix(n: int, rng: random.Random, spread: int = 3) -> RationalMatr
         for j in range(n):
             sign = -1 if rng.random() < 0.5 else 1
             row.append(
-                Fraction(sign * rng.randint(1, 3 * spread), rng.randint(1, spread))
+                Fraction(sign * rng.randint(1, 9), rng.randint(1, 3))
             )
-        row[i] = sum(abs(v) for v in row) + Fraction(
-            rng.randint(1, 2 * spread), rng.randint(1, spread)
-        )
+        row[i] = sum(abs(v) for v in row) + Fraction(rng.randint(1, 6), rng.randint(1, 3))
         rows.append(row)
     return RationalMatrix(tuple(tuple(r) for r in rows))
 
 
-def random_q(n: int, rng: random.Random, spread: int = 4) -> Vector:
-    return tuple(Fraction(rng.randint(-spread, spread)) for _ in range(n))
+def random_q(n: int, rng: random.Random) -> Vector:
+    return tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))

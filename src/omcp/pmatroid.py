@@ -211,16 +211,14 @@ def verify_mv3_pair(x: SignedSet, y: SignedSet) -> bool:
     return True
 
 
-def solve_omcp_bruteforce(
-    oracle, n: int, limit: int | None = None
-) -> M1 | MV2 | None:
+def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     """Scan all complementary bases for an all-non-negative C(B, q).
 
     Returns the first M1 found, an MV2 when some complementary set is not a
     basis, or None when the full scan finds neither (a non-P-matroid input
     without an easily extracted certificate).
     """
-    check(n, OMCP_SCAN_DIM, limit, "omcp scan dimension")
+    check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     ground: GroundSet = oracle.ground
     for _, basis in complementary_vertex_sets(ground):
         answer = oracle.query(basis, ground.q)

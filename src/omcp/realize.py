@@ -15,7 +15,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
@@ -37,6 +38,8 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_vector(values: Iterable) -> Vector:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of rationals, got {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 
@@ -52,6 +55,8 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"expected a list of matrix rows, got {rows!r}")
         return cls(tuple(parse_vector(r) for r in rows))
 
     @classmethod
@@ -72,9 +77,6 @@ class RationalMatrix:
 
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.entries]
-
-    def columns(self, js: Sequence[int]) -> list[list[Fraction]]:
-        return [[row[j] for j in js] for row in self.entries]
 
     def scale_column(self, j: int, factor: Fraction) -> "RationalMatrix":
         return RationalMatrix(
@@ -104,9 +106,7 @@ def negated(m: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(tuple(tuple(-v for v in row) for row in m.entries))
 
 
-def circuits_from_matrix(
-    matrix: RationalMatrix, ground: GroundSet, limit: int | None = None
-) -> ExplicitOM:
+def circuits_from_matrix(matrix: RationalMatrix, ground: GroundSet) -> ExplicitOM:
     """Oriented matroid of the column configuration.
 
     Column subsets are scanned in increasing size; a subset that contains no
@@ -117,7 +117,7 @@ def circuits_from_matrix(
     """
     if matrix.cols != ground.size:
         raise ValueError("column count does not match ground-set size")
-    check(matrix.cols, MATRIX_COLUMNS, limit, "matrix columns")
+    check(matrix.cols, MATRIX_COLUMNS, "matrix columns")
 
     found_supports: list[int] = []
     circuits: set[SignedSet] = set()
@@ -171,12 +171,10 @@ def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
     return hstack(RationalMatrix.identity(n), negated(m), neg_q)
 
 
-def omcp_from_plcp(
-    m: RationalMatrix, q: Vector, limit: int | None = None
-) -> ExplicitOM:
+def omcp_from_plcp(m: RationalMatrix, q: Vector) -> ExplicitOM:
     """Explicit circuit set of the complementarity instance built from (M, q)."""
     ground = GroundSet.complementary(m.rows, with_q=True)
-    return circuits_from_matrix(plcp_matrix(m, q), ground, limit=limit)
+    return circuits_from_matrix(plcp_matrix(m, q), ground)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +239,11 @@ class RealizedOM:
         return linalg.mat_rank(self._rows(js)) == len(js)
 
     def is_uniform(self) -> bool:
-        if "_uniform" not in self.__dict__:
-            self.__dict__["_uniform"] = is_generic(self.matrix)
-        return self.__dict__["_uniform"]
+        return self._uniform
+
+    @cached_property
+    def _uniform(self) -> bool:
+        return is_generic(self.matrix)
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """NotABasis, or the fundamental circuit C(B, e) from the cached inverse."""
@@ -317,24 +317,20 @@ class RealizedOM:
             if any(signs):
                 yield y, SignedSet(self.ground, tuple(signs))
 
-    def cocircuits(self, limit: int | None = None) -> frozenset[SignedSet]:
+    def cocircuits(self) -> frozenset[SignedSet]:
         """All cocircuits, one ± pair per hyperplane spanned by columns."""
-        if "_cocircuits" in self.__dict__:
-            return self.__dict__["_cocircuits"]
-        result: set[SignedSet] = set()
-        for _, d in self.hyperplanes():
-            result.add(d)
-            result.add(d.negate())
-        out = frozenset(result)
-        self.__dict__["_cocircuits"] = out
-        return out
+        return self._cocircuits
 
-    def circuit_set(self, limit: int | None = None) -> frozenset[SignedSet]:
-        if "_circuits" in self.__dict__:
-            return self.__dict__["_circuits"]
-        out = circuits_from_matrix(self.matrix, self.ground, limit=limit).circuits
-        self.__dict__["_circuits"] = out
-        return out
+    @cached_property
+    def _cocircuits(self) -> frozenset[SignedSet]:
+        return frozenset(x for _, d in self.hyperplanes() for x in (d, d.negate()))
 
-    def to_explicit(self, limit: int | None = None) -> ExplicitOM:
-        return ExplicitOM(self.ground, self.circuit_set(limit))
+    def circuit_set(self) -> frozenset[SignedSet]:
+        return self._explicit.circuits
+
+    def to_explicit(self) -> ExplicitOM:
+        return self._explicit
+
+    @cached_property
+    def _explicit(self) -> ExplicitOM:
+        return circuits_from_matrix(self.matrix, self.ground)

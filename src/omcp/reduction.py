@@ -29,31 +29,32 @@ def vertex_basis(oracle_ground: GroundSet, v: int, n: int) -> frozenset[str]:
     return oracle_ground.complementary_basis(vertex_bits(v, n))
 
 
-def _partial_outmap(oracle, v: int, n: int):
-    """(basis, partial outmap at v), the outmap None when B(v) is not a basis.
+def _query(oracle, v: int, n: int):
+    """(B(v), C(B(v), q) or NotABasis, partial outmap or None): one query for v.
 
     The half-edge of dimension i carries the negated entry of C(B(v), q)
-    at the basis element of that dimension.
+    at the basis element of that dimension; the outmap is None when B(v)
+    is not a basis.
     """
     ground: GroundSet = oracle.ground
     basis = vertex_basis(ground, v, n)
     answer = oracle.query(basis, ground.q)
     if isinstance(answer, NotABasis):
-        return basis, None
-    return basis, tuple(
-        -answer.sign_of(ground.pair(i)[vertex_bit(v, i, n)]) for i in range(n)
-    )
+        return basis, answer, None
+    out = tuple(-answer.sign_of(ground.pair(i)[vertex_bit(v, i, n)]) for i in range(n))
+    return basis, answer, out
+
+
+def _total(v: int, out, n: int) -> tuple[int, ...]:
+    return (MINUS,) * n if out is None else downward_outmap(v, out)
 
 
 def orient_vertex_total(oracle, v: int, n: int) -> tuple[int, ...]:
-    _, out = _partial_outmap(oracle, v, n)
-    if out is None:
-        return (MINUS,) * n
-    return downward_outmap(v, out)
+    return _total(v, _query(oracle, v, n)[2], n)
 
 
 def orient_vertex_partial(oracle, v: int, n: int) -> tuple[int, ...]:
-    basis, out = _partial_outmap(oracle, v, n)
+    basis, _, out = _query(oracle, v, n)
     if out is None:
         raise ValueError(f"complementary set {sorted(basis)} is not a basis")
     return out
@@ -68,12 +69,10 @@ def klaus_orientation(oracle, n: int, partial: bool = False) -> Orientation:
 
 def map_back_sink(oracle, v: int, n: int) -> M1 | MV2:
     """Sink of the derived orientation -> M1 solution, or MV2 on a missing basis."""
-    if any(s != MINUS for s in orient_vertex_total(oracle, v, n)):
+    basis, answer, out = _query(oracle, v, n)
+    if any(s != MINUS for s in _total(v, out, n)):
         raise ValueError("vertex is not a sink of the derived orientation")
-    ground: GroundSet = oracle.ground
-    basis = vertex_basis(ground, v, n)
-    answer = oracle.query(basis, ground.q)
-    if isinstance(answer, NotABasis):
+    if out is None:
         return MV2(basis)
     if answer.neg_mask != 0:
         raise RuntimeError("sink circuit has negative entries; oracle is inconsistent")
@@ -84,17 +83,12 @@ def map_back_uv1(oracle, v: int, w: int, n: int) -> MV3 | MV2:
     """Szabo-Welzl violation pair -> MV3 (or MV2 when a basis query fails)."""
     if v == w:
         raise ValueError("violation pair must be distinct")
-    ov, ow = orient_vertex_total(oracle, v, n), orient_vertex_total(oracle, w, n)
-    if not is_sw_pair(v, w, ov, ow):
+    (bv, x, ov), (bw, y, ow) = _query(oracle, v, n), _query(oracle, w, n)
+    if not is_sw_pair(v, w, _total(v, ov, n), _total(w, ow, n)):
         raise ValueError("pair is not a Szabo-Welzl violation of the derived orientation")
-    ground: GroundSet = oracle.ground
-    for u in (v, w):
-        basis = vertex_basis(ground, u, n)
-        if isinstance(oracle.query(basis, ground.q), NotABasis):
+    for basis, out in ((bv, ov), (bw, ow)):
+        if out is None:
             return MV2(basis)
-    x = oracle.query(vertex_basis(ground, v, n), ground.q)
-    y = oracle.query(vertex_basis(ground, w, n), ground.q)
-    cert = MV3(x, y)
     if not verify_mv3_pair(x, y):
         raise RuntimeError("violation pair did not produce a valid MV3 certificate")
-    return cert
+    return MV3(x, y)

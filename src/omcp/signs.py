@@ -134,14 +134,13 @@ class GroundSet:
             return GroundSet(remaining, self.pairs, None)
         return GroundSet(remaining)
 
-    def extended_by_q(self, q_name: str = "q") -> "GroundSet":
+    def extended_by_q(self) -> "GroundSet":
+        """This ground set with the extension element q appended last."""
         if self.q is not None:
             raise ValueError("ground set already has a distinguished element")
-        if q_name in self.elements:
-            raise ValueError(f"element name {q_name!r} already in use")
-        if self.pairs is not None:
-            return GroundSet(self.elements + (q_name,), self.pairs, q_name)
-        return GroundSet(self.elements + (q_name,))
+        if "q" in self.elements:
+            raise ValueError("element name 'q' already in use")
+        return GroundSet(self.elements + ("q",), self.pairs, None if self.pairs is None else "q")
 
 
 @dataclass(frozen=True)

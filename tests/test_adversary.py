@@ -23,7 +23,9 @@ from omcp.cube import (
 )
 from omcp.guards import SizeGuardError
 from omcp.om import ExplicitOM
+from omcp.plcp import random_p_matrix
 from omcp.pmatroid import is_degenerate, is_p_matroid
+from omcp.realize import RationalMatrix, RealizedOM, hstack, negated
 from omcp.reduction import klaus_orientation, orient_vertex_partial, orient_vertex_total
 from omcp.signs import MINUS, ZERO, GroundSet
 
@@ -146,10 +148,13 @@ def test_adversary_rejects_non_uniform_base():
 
 
 def test_game_dimension_guard():
-    rng = random.Random(20)
-    base = random_uniform_base(2, rng)
+    # 7 pairs against the default guard of 6; the guard fires before the
+    # C(14, 7)-determinant uniformity scan.
+    m = random_p_matrix(7, random.Random(20))
+    base = RealizedOM(hstack(RationalMatrix.identity(7), negated(m)), GroundSet.complementary(7))
     with pytest.raises(SizeGuardError):
-        AdversaryState(base, limit=1)
+        AdversaryState(base)
+    assert "_uniform" not in vars(base)
 
 
 # -- collision-forcing first phase ------------------------------------------

@@ -208,6 +208,12 @@ MALFORMED = [
     pytest.param(["reduce", "klaus"], [1, 2], id="klaus-array"),
     pytest.param(["om", "solve-omcp"], {"n": 1, "ground": 5}, id="solve-omcp-int-ground"),
     pytest.param(["reduce", "klaus"], {"n": 1, "ground": 5}, id="klaus-int-ground"),
+    pytest.param(["reduce", "klaus"], {"M": 5, "q": [1]}, id="klaus-int-M"),
+    pytest.param(["lcp", "check-p"], {"M": 5, "q": [1]}, id="check-p-int-M"),
+    pytest.param(["reduce", "klaus"], {"M": [[1]], "q": 5}, id="klaus-int-q"),
+    pytest.param(["om", "cocircuits"], {"ground": ["a", "b"], "circuits": 5}, id="cocircuits-int-circuits"),
+    pytest.param(["uso", "solve", "--algo", "jump"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-jump-no-sink"),
+    pytest.param(["uso", "solve", "--algo", "ordered-scan"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-ordered-scan-no-sink"),
 ]
 
 

@@ -3,7 +3,9 @@
 The benchmark tracer in ``perfbench/tracing.py`` wraps every name in its
 ``ENTRY_POINTS`` table; a rename in ``omcp`` that drops one of those names
 fails here.  Library code must not rely on ``assert``, which ``python -O``
-strips.
+strips, and only ``guards`` may read the environment: its
+``OMCP_GUARD_OVERRIDE`` is the package's one setting outside the call
+arguments.
 """
 
 import ast
@@ -49,3 +51,18 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_guards_reads_the_environment():
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in ("environ", "getenv") for alias in node.names)
+        )
+    }
+    assert readers == {"guards.py"}

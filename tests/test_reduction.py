@@ -188,6 +188,15 @@ def test_map_back_uv1_rejects_non_violation(ext):
         map_back_uv1(ext, 0, 1, 1)
 
 
+def test_map_back_uv1_checks_the_pair_before_mv2():
+    # tests/data/lcp3_singular.json: B(001) is singular, so 001 is a sink,
+    # and 011 points back at it along dimension 1: no violation, so no MV2.
+    oracle = realized([[0, 3, -2], [2, -3, -2], [-3, -1, 0]], [3, -2, 0])
+    assert not oracle.is_basis(vertex_basis(oracle.ground, 0b001, 3))
+    with pytest.raises(ValueError, match="not a Szabo-Welzl violation"):
+        map_back_uv1(oracle, 0b001, 0b011, 3)
+
+
 def test_p_extension_orientations_are_usos():
     rng = random.Random(41)
     for _ in range(10):
