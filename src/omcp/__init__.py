@@ -23,7 +23,7 @@ from .pmatroid import (
     solve_omcp_bruteforce,
     verify_certificate,
 )
-from .plcp import PlcpInstance, SymbolicQ, compose_q, is_p_matrix
+from .plcp import PlcpInstance, is_p_matrix
 from .realize import RationalMatrix, RealizedOM, circuits_from_matrix, omcp_from_plcp
 from .reduction import klaus_orientation, map_back_sink, map_back_uv1
 from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
@@ -55,13 +55,11 @@ __all__ = [
     "RealizedOM",
     "SSState",
     "SignedSet",
-    "SymbolicQ",
     "U1",
     "UV1",
     "ZERO",
     "check_circuit_axioms",
     "circuits_from_matrix",
-    "compose_q",
     "enumerate_usos",
     "holt_klee_value",
     "is_p_matroid",

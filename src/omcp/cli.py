@@ -19,7 +19,7 @@ from .extend import ExtensionOM, Localization
 from .guards import SizeGuardError
 from .om import ExplicitOM, check_circuit_axioms
 from .pmatroid import certificate_to_json
-from .realize import RationalMatrix, RealizedOM, omcp_from_plcp, parse_vector, plcp_matrix
+from .realize import RationalMatrix, RealizedOM, omcp_from_plcp, plcp_matrix
 from .signs import GroundSet
 
 
@@ -41,13 +41,18 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
+def _lcp_oracle(data: dict) -> RealizedOM:
+    """(M, q) instance data -> circuit oracle realized by [I | -M | -q]."""
+    inst = plcp.PlcpInstance.from_json_dict(data)
+    return RealizedOM(plcp_matrix(inst.matrix, inst.q),
+                      GroundSet.complementary(inst.n, with_q=True))
+
+
 def _load_oracle(path: str, validate: bool):
     """Instance file -> circuit oracle; explicit circuits or an (M, q) pair."""
     data = _read_json(path)
     if "M" in data:
-        inst = plcp.PlcpInstance.from_json_dict(data)
-        return RealizedOM(plcp_matrix(inst.matrix, inst.q),
-                          GroundSet.complementary(inst.n, with_q=True))
+        return _lcp_oracle(data)
     if "base" in data:
         base_om = ExplicitOM.from_json_dict(data["base"], validate=validate)
         sigma = Localization.from_json_dict(base_om, data)
@@ -302,13 +307,12 @@ def cmd_lcp(args) -> int:
         return 0
 
     if args.lcp_command == "orient":
-        matrix = RationalMatrix.from_rows(data["M"])
         if args.q:
-            q = parse_vector(_read_json(args.q)["q"])
-        else:
-            q = parse_vector(data["q"])
-        orientation = plcp.plcp_ppu(matrix, q)
-        report = {"n": matrix.rows, "outmaps": orientation.to_outmaps()}
+            data["q"] = _read_json(args.q)["q"]
+        oracle = _lcp_oracle(data)
+        n = oracle.ground.n_pairs
+        orientation = reduction.klaus_orientation(oracle, n, partial=True).materialize()
+        report = {"n": n, "outmaps": orientation.to_outmaps()}
         if args.total:
             report["completed"] = cube.complete_downward(orientation).to_outmaps()
         _emit(report)
@@ -384,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = lcp_sub.add_parser("to-omcp")
     sp.add_argument("instance")
     sp.add_argument("-o", "--output", metavar="OUT")
-    sp = lcp_sub.add_parser("orient")
+    sp = lcp_sub.add_parser("orient", help="print the partial Klaus orientation, "
+                            "the same one as 'reduce klaus --partial'")
     sp.add_argument("instance")
     sp.add_argument("--q", metavar="QFILE")
     sp.add_argument("--total", action="store_true",

@@ -227,6 +227,10 @@ class ExplicitOM:
             if (pos | neg) in minimal
         )
 
+    @cached_property
+    def _sorted_cocircuits(self) -> tuple[SignedSet, ...]:
+        return tuple(sorted(self.cocircuits(), key=lambda c: c.encode()))
+
     def dual(self) -> "ExplicitOM":
         return ExplicitOM(self.ground, self.cocircuits())
 
@@ -243,10 +247,10 @@ class ExplicitOM:
         for c in self._sorted_circuits:
             if c.sign_of(e) == PLUS and c.support_mask & ~allowed == 0:
                 if found is not None:
-                    raise RuntimeError("fundamental circuit is not unique")
+                    raise ValueError("fundamental circuit is not unique; not a matroid")
                 found = c
         if found is None:
-            raise RuntimeError("no fundamental circuit found; circuit set is not a matroid")
+            raise ValueError("no fundamental circuit found; circuit set is not a matroid")
         return found
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
@@ -261,13 +265,13 @@ class ExplicitOM:
             raise ValueError("fundamental cocircuits are defined for bases only")
         avoid = self._mask(names) & ~(1 << self.ground.index(e))
         found = None
-        for d in sorted(self.cocircuits(), key=lambda c: c.encode()):
+        for d in self._sorted_cocircuits:
             if d.sign_of(e) == PLUS and d.support_mask & avoid == 0:
                 if found is not None:
-                    raise RuntimeError("fundamental cocircuit is not unique")
+                    raise ValueError("fundamental cocircuit is not unique; not a matroid")
                 found = d
         if found is None:
-            raise RuntimeError("no fundamental cocircuit found")
+            raise ValueError("no fundamental cocircuit found; not a matroid")
         return found
 
     def minor_delete(self, e: str) -> "ExplicitOM":

@@ -1,11 +1,12 @@
 """Linear complementarity front end over exact rationals.
 
-Solving w - Mz = q with the complementarity pattern of a cube vertex
-selects one basic variable per index; the signs of the basic values
-orient the cube directly, and that orientation agrees vertexwise with the
-one derived from the realization [I; -M; -q].  A symbolic two-level
-q-vector (q1 then infinitesimally weighted q2) mirrors first-nonzero
-composition of localizations without ever choosing a numeric epsilon.
+An instance (M, q) reaches the cube through the realization [I; -M; -q]
+and the Klaus reduction, like every other complementarity instance.  This
+module keeps the direct path beside it: solving w - Mz = q with the
+complementarity pattern of a cube vertex selects one basic variable per
+index, and the negated signs of the basic values orient that vertex.
+The direct path shares no code with ``RealizedOM``; the tests and the
+benchmark use it as the independent cross-check of the reduction.
 """
 
 from __future__ import annotations
@@ -15,40 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from . import linalg
-from .cube import Orientation, vertex_bit
+from .cube import Orientation, vertex_bits
 from .realize import RationalMatrix, RealizedOM, Vector, parse_vector
-from .signs import MINUS, PLUS, ZERO, SignedSet
-
-
-@dataclass(frozen=True)
-class SymbolicQ:
-    """Lexicographically layered right-hand side: earlier levels dominate."""
-
-    levels: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("need at least one level")
-        if len({len(v) for v in self.levels}) != 1:
-            raise ValueError("levels must have equal length")
-
-    @property
-    def length(self) -> int:
-        return len(self.levels[0])
-
-
-def _as_levels(q) -> tuple[Vector, ...]:
-    if isinstance(q, SymbolicQ):
-        return q.levels
-    return (tuple(q),)
-
-
-def compose_q(q1, q2) -> SymbolicQ:
-    """Two-level composition: sign queries read q1 first, then q2."""
-    levels = _as_levels(q1) + _as_levels(q2)
-    if len({len(v) for v in levels}) != 1:
-        raise ValueError("q-vectors must have equal length")
-    return SymbolicQ(levels)
+from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
 
 
 @dataclass(frozen=True)
@@ -132,37 +102,23 @@ def is_lcp_solution(m: RationalMatrix, q: Vector, w: Vector, z: Vector) -> bool:
     )
 
 
-def plcp_orientation(m: RationalMatrix, q, v: int) -> tuple[int, ...]:
+def plcp_orientation(m: RationalMatrix, q: Vector, v: int) -> tuple[int, ...]:
     """Half-edge signs at vertex v from the basic-solution signs at B(v).
 
-    Degenerate (zero) basic values stay unoriented; with a symbolic q the
-    sign of each basic value is the first non-zero sign across levels.
+    A positive basic value gives an incoming half-edge, a negative one an
+    outgoing half-edge; degenerate (zero) basic values stay unoriented.
     """
     n = m.rows
-    levels = _as_levels(q)
-    basis = frozenset(
-        f"t{i + 1}" if vertex_bit(v, i, n) else f"s{i + 1}" for i in range(n)
-    )
-    rows = _basis_columns(m, basis)
-    inv = linalg.invert(rows)
-    if inv is None:
+    basis = GroundSet.complementary(n).complementary_basis(vertex_bits(v, n))
+    solution = basic_solution(m, q, basis)
+    if solution is None:
         raise ValueError(f"basis at vertex {v:0{n}b} is singular")
-    d, num = inv
-    out = []
-    for i in range(n):
-        sign = ZERO
-        for level in levels:
-            # the basic value is (N level)_i / d
-            value = sum(num[i][r] * level[r] for r in range(n))
-            if value != 0:
-                sign = PLUS if (value > 0) == (d > 0) else MINUS
-                break
-        # incoming half-edge for a positive basic value, outgoing for negative
-        out.append(ZERO if sign == ZERO else (MINUS if sign == PLUS else PLUS))
-    return tuple(out)
+    # the non-basic variable of each index is 0, so w_i + z_i is the basic value
+    values = [a + b for a, b in zip(*solution)]
+    return tuple(MINUS if x > 0 else (PLUS if x < 0 else ZERO) for x in values)
 
 
-def plcp_ppu(m: RationalMatrix, q) -> Orientation:
+def plcp_ppu(m: RationalMatrix, q: Vector) -> Orientation:
     return Orientation(m.rows, fn=lambda v: plcp_orientation(m, q, v)).materialize()
 
 

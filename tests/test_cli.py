@@ -202,6 +202,12 @@ def test_cli_round_trip_reparse(tmp_path, capsys):
     assert code2 == 0 and report2 == {"kind": "M1", "circuit": "0++"}
 
 
+DATA = Path(__file__).parent / "data"
+I2 = [[1, 0], [0, 1]]
+# Both +0+ and -0+ are circuits, so this is no oriented matroid; only --no-validate loads it.
+NON_MATROID = {"n": 1, "ground": ["s1", "t1", "q"],
+               "circuits": ["++0", "--0", "+0+", "-0-", "-0+", "+0-", "0++", "0--"]}
+
 MALFORMED = [
     pytest.param(["uso", "check"], {"n": 2, "outmaps": []}, id="uso-check-no-outmaps"),
     pytest.param(["om", "solve-omcp"], [1, 2], id="solve-omcp-array"),
@@ -214,6 +220,15 @@ MALFORMED = [
     pytest.param(["om", "cocircuits"], {"ground": ["a", "b"], "circuits": 5}, id="cocircuits-int-circuits"),
     pytest.param(["uso", "solve", "--algo", "jump"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-jump-no-sink"),
     pytest.param(["uso", "solve", "--algo", "ordered-scan"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-ordered-scan-no-sink"),
+    pytest.param(["lcp", "orient"], {"M": I2, "q": [1]}, id="orient-short-q"),
+    pytest.param(["lcp", "orient"], {"M": [[1, 0, 2], [0, 1, 3]], "q": [1, 1]}, id="orient-non-square-M"),
+    pytest.param(["lcp", "orient"], {"M": I2, "q": [1, 1, 1]}, id="orient-long-q"),
+    pytest.param(["lcp", "orient", "--q", str(DATA / "lcp3_generic.json")], {"M": I2, "q": [1, 1]}, id="orient-qfile-wrong-length"),
+    pytest.param(["lcp", "orient"], json.loads((DATA / "lcp3_singular.json").read_text()), id="orient-singular-basis"),
+    pytest.param(["om", "solve-omcp", "--no-validate"], NON_MATROID, id="solve-omcp-non-matroid"),
+    pytest.param(["om", "degeneracy", "--no-validate"], NON_MATROID, id="degeneracy-non-matroid"),
+    pytest.param(["reduce", "klaus", "--no-validate"], NON_MATROID, id="klaus-non-matroid"),
+    pytest.param(["reduce", "back-map", "--no-validate", "--sink", "0"], NON_MATROID, id="back-map-non-matroid"),
 ]
 
 

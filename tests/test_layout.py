@@ -1,11 +1,12 @@
 """Static checks on the package layout.
 
 The benchmark tracer in ``perfbench/tracing.py`` wraps every name in its
-``ENTRY_POINTS`` table; a rename in ``omcp`` that drops one of those names
-fails here.  Library code must not rely on ``assert``, which ``python -O``
-strips, and only ``guards`` may read the environment: its
-``OMCP_GUARD_OVERRIDE`` is the package's one setting outside the call
-arguments.
+``ENTRY_POINTS`` table, and the workloads in ``perfbench/workloads.py``
+call ``omcp`` functions by module attribute; a rename in ``omcp`` that
+drops one of those names fails here.  Library code must not rely on
+``assert``, which ``python -O`` strips, and only ``guards`` may read the
+environment: its ``OMCP_GUARD_OVERRIDE`` is the package's one setting
+outside the call arguments.
 """
 
 import ast
@@ -40,6 +41,30 @@ def test_traced_entry_points_resolve():
             raw = vars(owner).get(key) if owner is not None else None
             if not callable(getattr(raw, "__func__", raw)):
                 missing.append(f"{layer}.{attr}")
+    assert missing == []
+
+
+def test_benchmark_workload_names_resolve():
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "omcp"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {"plcp_ppu", "basic_solution", "is_lcp_solution"} <= {attr for _, attr in used}
+    missing = sorted(
+        f"{module}.{attr}"
+        for module, attr in used
+        if not hasattr(importlib.import_module(f"omcp.{modules[module]}"), attr)
+    )
     assert missing == []
 
 

@@ -7,9 +7,7 @@ from omcp.cube import complete_downward, is_uso_exhaustive
 from omcp.extend import ExtensionOM, lex_localization
 from omcp.plcp import (
     PlcpInstance,
-    SymbolicQ,
     basic_solution,
-    compose_q,
     is_lcp_solution,
     is_p_matrix,
     localization_from_q,
@@ -121,23 +119,7 @@ def test_lexicographic_q_vectors_match_atoms():
                 assert direct.to_outmaps() == via.to_outmaps(), (n, element, sign)
 
 
-def test_compose_q_levels():
-    q = compose_q(fr([0]), fr([1]))
-    assert isinstance(q, SymbolicQ) and q.levels == (fr([0]), fr([1]))
-    m = RationalMatrix.from_rows([[1]])
-    # first level zero: signs follow the second level
-    assert plcp_orientation(m, q, 0) == plcp_orientation(m, fr([1]), 0)
-    # non-zero first level dominates
-    q2 = compose_q(fr([1]), fr([-5]))
-    assert plcp_orientation(m, q2, 0) == plcp_orientation(m, fr([1]), 0)
-    # composing with zero changes nothing
-    q3 = compose_q(fr([2]), fr([0]))
-    assert plcp_orientation(m, q3, 0) == plcp_orientation(m, fr([2]), 0)
-    with pytest.raises(ValueError):
-        compose_q(fr([1]), fr([1, 2]))
-
-
-def test_compose_q_matches_localization_composition():
+def test_localization_composition_matches_lexicographic_q():
     rng = random.Random(29)
     for n in (2, 3):
         while True:
@@ -152,11 +134,14 @@ def test_compose_q_matches_localization_composition():
         q2 = random_q(n, rng)
         sigma1 = localization_from_q(base, q1)
         sigma2 = localization_from_q(base, q2)
-        composed_sigma = sigma1.compose(sigma2)
-        composed_vec = compose_q(q1, q2)
-        via_sigma = klaus_orientation(ExtensionOM(composed_sigma), n, partial=True).materialize()
-        direct = plcp_ppu(m, composed_vec)
-        assert via_sigma.to_outmaps() == direct.to_outmaps()
+        via_sigma = klaus_orientation(ExtensionOM(sigma1.compose(sigma2)), n, partial=True)
+        for v in range(2**n):
+            # q1 + eps*q2: each basic value takes its sign from q1 unless that is 0
+            lex = tuple(
+                a or b
+                for a, b in zip(plcp_orientation(m, q1, v), plcp_orientation(m, q2, v))
+            )
+            assert via_sigma.outmap(v) == lex, (n, v)
 
 
 def test_localization_from_q_matches_realized_extension():
