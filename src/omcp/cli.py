@@ -15,7 +15,7 @@ import sys
 
 from . import adversary as adv
 from . import cube, plcp, pmatroid, reduction
-from .extend import ExtensionOM, Localization
+from .extend import ExtensionOM, Localization, validate_localization
 from .guards import SizeGuardError
 from .om import ExplicitOM, check_circuit_axioms
 from .pmatroid import certificate_to_json
@@ -56,6 +56,11 @@ def _load_oracle(path: str, validate: bool):
     if "base" in data:
         base_om = ExplicitOM.from_json_dict(data["base"], validate=validate)
         sigma = Localization.from_json_dict(base_om, data)
+        if validate:
+            result = validate_localization(sigma)
+            if not result.valid:
+                detail = f": {result.violation!r}" if result.violation else ""
+                raise ValueError(f"invalid localization: {result.reason}{detail}")
         return ExtensionOM(sigma)
     return ExplicitOM.from_json_dict(data, validate=validate)
 
@@ -324,6 +329,9 @@ def cmd_lcp(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+NO_VALIDATE_HELP = "skip circuit-axiom and localization validation on load"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omcp",
@@ -336,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check-axioms", "cocircuits", "pmatroid-check", "solve-omcp", "degeneracy"):
         sp = om_sub.add_parser(name)
         sp.add_argument("instance")
-        sp.add_argument("--no-validate", action="store_true",
-                        help="skip circuit-axiom validation on load")
+        sp.add_argument("--no-validate", action="store_true", help=NO_VALIDATE_HELP)
     p_om.set_defaults(fn=cmd_om)
 
     p_red = top.add_parser("reduce", help="cube-orientation reduction and back-mapping")
@@ -348,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep degenerate half-edges unoriented")
     sp.add_argument("--emit-uso", metavar="OUT")
     sp.add_argument("--emit-dot", metavar="OUT")
-    sp.add_argument("--no-validate", action="store_true")
+    sp.add_argument("--no-validate", action="store_true", help=NO_VALIDATE_HELP)
     sp = red_sub.add_parser("back-map")
     sp.add_argument("instance")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--sink", metavar="V")
     group.add_argument("--uv1", nargs=2, metavar=("V", "W"))
-    sp.add_argument("--no-validate", action="store_true")
+    sp.add_argument("--no-validate", action="store_true", help=NO_VALIDATE_HELP)
     p_red.set_defaults(fn=cmd_reduce)
 
     p_uso = top.add_parser("uso", help="unique-sink-orientation operations")

@@ -14,6 +14,7 @@ C(B, q).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -112,15 +113,22 @@ class Localization:
 
     @classmethod
     def from_json_dict(cls, base, d: dict) -> "Localization":
-        atoms = tuple(LexAtom(e, char_sign(s)) for e, s in d.get("atoms", []))
-        table = None
+        atoms = d.get("atoms", [])
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, list) and len(a) == 2 and all(isinstance(x, str) for x in a)
+            for a in atoms
+        ):
+            raise ValueError("'atoms' must be a list of [element, sign] string pairs")
+        table = d.get("table")
         if "table" in d:
-            ground = base.ground
+            if not isinstance(table, dict) or not all(
+                isinstance(v, str) for v in table.values()
+            ):
+                raise ValueError("'table' must map sign strings to sign strings")
             table = {
-                SignedSet.decode(ground, k): char_sign(v)
-                for k, v in d["table"].items()
+                SignedSet.decode(base.ground, k): char_sign(v) for k, v in table.items()
             }
-        return cls(base, atoms, table)
+        return cls(base, tuple(LexAtom(e, char_sign(s)) for e, s in atoms), table)
 
 
 def lex_localization(base, element: str, sign: int) -> Localization:
@@ -203,22 +211,12 @@ def materialize_extension(sigma: Localization) -> ExplicitOM:
         lifted = SignedSet(ground, tuple(c.signs) + (ZERO,))
         circuits.add(lifted)
         circuits.add(lifted.negate())
-    for b in _bases_of(base):
-        c = oracle.query(b, "q")
-        circuits.add(c)
-        circuits.add(c.negate())
-    return ExplicitOM(ground, frozenset(circuits))
-
-
-def _bases_of(base):
-    if hasattr(base, "bases"):
-        yield from base.bases()
-        return
-    import itertools
-
     for combo in itertools.combinations(base.ground.elements, base.rank):
         if base.is_basis(combo):
-            yield frozenset(combo)
+            c = oracle.query(combo, "q")
+            circuits.add(c)
+            circuits.add(c.negate())
+    return ExplicitOM(ground, frozenset(circuits))
 
 
 def validate_localization(sigma: Localization) -> LocalizationValidation:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import os
 
-# Defaults: ground-set size for 3^|E| duality scans, cube dimension for
-# exhaustive face checks, cube dimension for sink-finding games, matrix
-# columns for minimal-dependency enumeration, basis count for OMCP scans.
+# Defaults: ground-set size for cocircuit enumeration over all bases, cube
+# dimension for exhaustive face checks, cube dimension for sink-finding
+# games, matrix columns for minimal-dependency enumeration, basis count for
+# OMCP scans.
 DUALITY_ELEMENTS = 12
 USO_EXHAUSTIVE_DIM = 4
 GAME_DIM = 6

@@ -2,11 +2,11 @@
 
 An :class:`ExplicitOM` stores its circuits as signed sets and answers the
 standard structural questions: circuit-axiom checking, bases and rank,
-uniformity, cocircuits by brute-force duality, fundamental circuits and
-cocircuits, and single-element deletion.  It also implements the circuit
-oracle protocol ``query(B, e) -> NotABasis | SignedSet`` used throughout
-the pipeline, so explicit matroids can stand in wherever an oracle is
-expected.
+uniformity, fundamental circuits, cocircuits read off the fundamental
+circuits by basis orthogonality, and single-element deletion.  It also
+implements the circuit oracle protocol ``query(B, e) -> NotABasis |
+SignedSet`` used throughout the pipeline, so explicit matroids can stand
+in wherever an oracle is expected.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .guards import DUALITY_ELEMENTS, check
-from .signs import MINUS, PLUS, SIGNS, ZERO, GroundSet, SignedSet
+from .signs import PLUS, ZERO, GroundSet, SignedSet, sign_negate
 
 
 class NotABasis:
@@ -173,63 +173,19 @@ class ExplicitOM:
         )
 
     def cocircuits(self) -> frozenset[SignedSet]:
-        """Inclusion-minimal non-empty signed sets orthogonal to all circuits.
-
-        Brute force over all 3^|E| sign vectors, guarded.  Among candidates,
-        one is dropped exactly when another candidate's support is a proper
-        subset of its own; equal supports keep both sign variants.
-        """
+        """All cocircuits: the fundamental cocircuits of every basis and their
+        negations.  Guarded, since it enumerates r-subsets of the ground set."""
         return self._cocircuits
 
     @cached_property
     def _cocircuits(self) -> frozenset[SignedSet]:
-        m = self.ground.size
-        check(m, DUALITY_ELEMENTS, "ground-set size")
-        circuit_masks = [(c.pos_mask, c.neg_mask) for c in self.circuits]
-
-        candidates: list[tuple[int, int]] = []
-        for signs in itertools.product(SIGNS, repeat=m):
-            pos = neg = 0
-            for k, s in enumerate(signs):
-                if s == PLUS:
-                    pos |= 1 << k
-                elif s == MINUS:
-                    neg |= 1 << k
-            supp = pos | neg
-            if supp == 0:
-                continue
-            ok = True
-            for cp, cn in circuit_masks:
-                common = supp & (cp | cn)
-                if common == 0:
-                    continue
-                agree = (pos & cp) | (neg & cn)
-                disagree = (pos & cn) | (neg & cp)
-                if not (agree and disagree):
-                    ok = False
-                    break
-            if ok:
-                candidates.append((pos, neg))
-
-        supports = {p | n for p, n in candidates}
-        minimal = {
-            s for s in supports if not any(t != s and t & ~s == 0 for t in supports)
-        }
-        return frozenset(
-            SignedSet(
-                self.ground,
-                tuple(
-                    PLUS if pos >> k & 1 else (MINUS if neg >> k & 1 else ZERO)
-                    for k in range(m)
-                ),
-            )
-            for pos, neg in candidates
-            if (pos | neg) in minimal
-        )
-
-    @cached_property
-    def _sorted_cocircuits(self) -> tuple[SignedSet, ...]:
-        return tuple(sorted(self.cocircuits(), key=lambda c: c.encode()))
+        check(self.ground.size, DUALITY_ELEMENTS, "ground-set size")
+        found: set[SignedSet] = set()
+        for basis in self.bases():
+            for d in self._fundamental_cocircuits(basis, basis):
+                found.add(d)
+                found.add(d.negate())
+        return frozenset(found)
 
     def dual(self) -> "ExplicitOM":
         return ExplicitOM(self.ground, self.cocircuits())
@@ -263,16 +219,27 @@ class ExplicitOM:
             raise ValueError("fundamental cocircuits need an element of the basis")
         if not self.is_basis(names):
             raise ValueError("fundamental cocircuits are defined for bases only")
-        avoid = self._mask(names) & ~(1 << self.ground.index(e))
-        found = None
-        for d in self._sorted_cocircuits:
-            if d.sign_of(e) == PLUS and d.support_mask & avoid == 0:
-                if found is not None:
-                    raise ValueError("fundamental cocircuit is not unique; not a matroid")
-                found = d
-        if found is None:
-            raise ValueError("no fundamental cocircuit found; not a matroid")
-        return found
+        return self._fundamental_cocircuits(names, (e,))[0]
+
+    def _fundamental_cocircuits(
+        self, basis: frozenset[str], members: Iterable[str]
+    ) -> list[SignedSet]:
+        """C*(B, e) for each e in members, by basis orthogonality: + at e,
+        0 on B minus e, and -C(B, f)_e at each f outside B.  Each C(B, f) is
+        queried once and shared across the members."""
+        outside = [
+            (k, self.query(basis, f))
+            for k, f in enumerate(self.ground.elements)
+            if f not in basis
+        ]
+        result = []
+        for e in members:
+            signs = [ZERO] * self.ground.size
+            signs[self.ground.index(e)] = PLUS
+            for k, c in outside:
+                signs[k] = sign_negate(c.sign_of(e))
+            result.append(SignedSet(self.ground, tuple(signs)))
+        return result
 
     def minor_delete(self, e: str) -> "ExplicitOM":
         """Deletion minor: keep circuits vanishing at e, restricted to E minus e."""

@@ -30,10 +30,13 @@ def parse_rational(value) -> Fraction:
     """Fraction from int, string 'p/q', or float-free decimal string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.replace("−", "-").strip())
+        try:
+            return Fraction(value.replace("−", "-").strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot parse rational from {value!r}")
 
 

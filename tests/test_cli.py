@@ -207,6 +207,9 @@ I2 = [[1, 0], [0, 1]]
 # Both +0+ and -0+ are circuits, so this is no oriented matroid; only --no-validate loads it.
 NON_MATROID = {"n": 1, "ground": ["s1", "t1", "q"],
                "circuits": ["++0", "--0", "+0+", "-0-", "-0+", "+0-", "0++", "0--"]}
+NON_PM_BASE = {"n": 1, "ground": ["s1", "t1"], "circuits": ["+-", "-+"]}
+# The base's cocircuits are ++ and --; giving both the value + is not sign-odd.
+SIGN_EVEN_TABLE = {"base": NON_PM_BASE, "table": {"++": "+", "--": "+"}}
 
 MALFORMED = [
     pytest.param(["uso", "check"], {"n": 2, "outmaps": []}, id="uso-check-no-outmaps"),
@@ -229,6 +232,18 @@ MALFORMED = [
     pytest.param(["om", "degeneracy", "--no-validate"], NON_MATROID, id="degeneracy-non-matroid"),
     pytest.param(["reduce", "klaus", "--no-validate"], NON_MATROID, id="klaus-non-matroid"),
     pytest.param(["reduce", "back-map", "--no-validate", "--sink", "0"], NON_MATROID, id="back-map-non-matroid"),
+    pytest.param(["om", "cocircuits", "--no-validate"], NON_MATROID, id="cocircuits-non-matroid"),
+    pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": 5}, id="klaus-int-atoms"),
+    pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": [5]}, id="klaus-int-atom"),
+    pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "table": 5}, id="klaus-int-table"),
+    pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": [["s1", {}]]}, id="klaus-object-atom-sign"),
+    pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": [[["x"], "+"]]}, id="klaus-list-atom-element"),
+    pytest.param(["reduce", "klaus"], SIGN_EVEN_TABLE, id="klaus-sign-even-table"),
+    pytest.param(["om", "solve-omcp"], SIGN_EVEN_TABLE, id="solve-omcp-sign-even-table"),
+    pytest.param(["reduce", "klaus"], {"M": [["1/0"]], "q": [1]}, id="klaus-zero-denominator"),
+    pytest.param(["lcp", "check-p"], {"M": [["1/0"]], "q": [1]}, id="check-p-zero-denominator"),
+    pytest.param(["reduce", "klaus"], {"M": [[True]], "q": [1]}, id="klaus-bool-entry"),
+    pytest.param(["lcp", "check-p"], {"M": [[True]], "q": [1]}, id="check-p-bool-entry"),
 ]
 
 
