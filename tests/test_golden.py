@@ -8,7 +8,10 @@ q = (0, 3, 0, -2, 0).  ``loc2_lex`` and ``loc2_degenerate`` extend the
 explicit base [I | -M] with M = [[2, 1], [-1, 3]] by the localizations
 [t1 -, s2 +] and [t2 -]; the second is degenerate.  ``omcp3_nonp`` is
 ``lcp to-omcp`` of ``lcp3_nonp``, and ``uso3_generic`` is the
-``--emit-uso`` output of the generic P-LCP ``lcp3_generic``.  The
+``--emit-uso`` output of the generic P-LCP ``lcp3_generic``.
+``lcp2_two_singular`` has two singular complementary sets, {s2, t1} at
+vertex 10 and {t1, t2} at vertex 11; its cases also pin stderr, so the
+error names the least failing vertex in vertex order.  The
 expected outputs were recorded once and are never regenerated: any
 change to the exact arithmetic or to the reduction that alters a sign
 shows up here.
@@ -35,3 +38,16 @@ def test_cli_output_is_byte_identical(case):
         code = main(argv)
     assert code == case["exit"]
     assert buf.getvalue() == case["stdout"]
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if "stderr" in c], ids=lambda c: " ".join(c["argv"])
+)
+def test_cli_error_is_byte_identical(case):
+    argv = [a.replace("DATA", str(DATA)) for a in case["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == case["exit"]
+    assert out.getvalue() == case["stdout"]
+    assert err.getvalue() == case["stderr"]
