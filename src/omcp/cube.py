@@ -139,9 +139,28 @@ class Orientation:
         return range(1 << self.n)
 
     def materialize(self) -> "Orientation":
+        """The dense table, listed in vertex order.
+
+        Vertices are evaluated in Gray-code order, v = k ^ (k >> 1), so
+        consecutive queries differ in one dimension and an oracle can move
+        between them by one basis exchange.  When a vertex raises
+        ValueError, the unevaluated vertices below it are evaluated in
+        vertex order, so the error raised is that of the least failing
+        vertex, as in a pass in vertex order.
+        """
         if self._table is not None:
             return self
-        return Orientation(self.n, table=[self.outmap(v) for v in self.vertices()])
+        table: list = [None] * (1 << self.n)
+        for k in self.vertices():
+            v = k ^ (k >> 1)
+            try:
+                table[v] = self.outmap(v)
+            except ValueError:
+                for u in range(v):
+                    if table[u] is None:
+                        self.outmap(u)
+                raise
+        return Orientation(self.n, table=table)
 
     def is_total(self) -> bool:
         return all(ZERO not in self.outmap(v) for v in self.vertices())

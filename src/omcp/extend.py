@@ -53,7 +53,7 @@ class Localization:
     Evaluation walks the atom list left to right and returns the first
     non-zero value; when all atoms vanish it falls back to the explicit
     table (if any), else to zero.  The base can be any representation with
-    ``ground``, ``is_basis`` and ``fundamental_cocircuit``; an explicit
+    ``ground``, ``is_basis`` and ``fundamental_cocircuits``; an explicit
     table additionally needs ``cocircuits()``.
     """
 
@@ -183,8 +183,7 @@ class ExtensionOM:
         if not self.base.is_basis(names):
             return NOT_A_BASIS
         signs = [ZERO] * (self.ground.size - 1) + [PLUS]
-        for b in names:
-            d = self.base.fundamental_cocircuit(names, b)
+        for b, d in self.base.fundamental_cocircuits(names).items():
             signs[self.ground.index(b)] = sign_negate(self.sigma.evaluate(d))
         return SignedSet(self.ground, tuple(signs))
 

@@ -7,6 +7,17 @@ its denominators; inside the loop every update is
 because each intermediate entry is a minor of the scaled matrix.  Python
 integers have arbitrary precision, so overflow is impossible and every
 sign decision is exact.  Fractions are built only for returned values.
+
+The loop body is one basis exchange, :func:`pivot`, and callers that keep
+an integer tableau T = D * B^-1 A reuse it to move to a neighbouring
+basis.  Exchanging the element of row i for the column c with
+p = T[i][c] != 0 gives T' = p * B'^-1 A with rows
+T'[r] = (p * T[r] - T[r][c] * T[i]) // D for r != i and T'[i] = T[i],
+and D' = p.  The division is exact for the same reason as in the
+elimination.  D = +-det B, so by Cramer's rule every entry
+T[r][c] = D * (B^-1 a_c)_r is, up to sign, the determinant of B with its
+r-th column replaced by a_c, an integer; p is then +-det B', and the
+entries of T' are integer minors in the same way (Edmonds 1967).
 """
 
 from __future__ import annotations
@@ -24,6 +35,27 @@ def integer_multiple(values) -> tuple[int, list[int]]:
     if k == 1:
         return 1, [v.numerator for v in values]
     return k, [v.numerator * (k // v.denominator) for v in values]
+
+
+def pivot(m: list[list[int]], r: int, c: int, prev: int) -> list[list[int]]:
+    """One fraction-free exchange step on the entry ``m[r][c]`` (non-zero).
+
+    Every row i != r becomes ``(m[r][c] * m[i] - m[i][c] * m[r]) // prev``,
+    which clears column c outside row r; row r is kept.  ``prev`` is the
+    previous pivot, so the division is exact (module docstring).  Returns
+    a new list of rows; the rows of ``m`` are not modified.
+    """
+    prow = m[r]
+    pv = prow[c]
+    out = []
+    for i, row in enumerate(m):
+        f = row[c]
+        if i != r and f != 0:
+            row = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+        elif i != r and pv != prev:
+            row = [pv * a // prev for a in row]
+        out.append(row)
+    return out
 
 
 def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int]:
@@ -57,19 +89,9 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
         if p != r:
             m[r], m[p] = m[p], m[r]
             den = -den
-        prow = m[r]
-        pv = prow[c]
-        for i in range(n_rows):
-            if i == r:
-                continue
-            row = m[i]
-            f = row[c]
-            if f != 0:
-                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
-            elif pv != prev:
-                m[i] = [pv * a // prev for a in row]
+        m = pivot(m, r, c, prev)
         pivots.append(c)
-        prev = pv
+        prev = m[r][c]
         r += 1
     return m, pivots, prev, den
 

@@ -221,6 +221,13 @@ class ExplicitOM:
             raise ValueError("fundamental cocircuits are defined for bases only")
         return self._fundamental_cocircuits(names, (e,))[0]
 
+    def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
+        """C*(B, e) for every e in B; each C(B, f), f outside B, is queried once."""
+        names = frozenset(basis)
+        if not self.is_basis(names):
+            raise ValueError("fundamental cocircuits are defined for bases only")
+        return dict(zip(names, self._fundamental_cocircuits(names, names)))
+
     def _fundamental_cocircuits(
         self, basis: frozenset[str], members: Iterable[str]
     ) -> list[SignedSet]:

@@ -184,13 +184,18 @@ def omcp_from_plcp(m: RationalMatrix, q: Vector) -> ExplicitOM:
 class RealizedOM:
     """Circuit oracle backed by a full-row-rank rational realization.
 
-    Queries are answered from exact basis inverses, so no part of the
+    Queries are answered from exact integer tableaux, so no part of the
     circuit collection is materialized up front.  The oracle keeps an
-    integer copy of its columns, each scaled by the positive lcm of its
-    denominators, which leaves the oriented matroid unchanged.  Each
-    basis caches its column indices and ``linalg.invert`` of its integer
-    submatrix, ``(d, N)`` with inverse ``N / d`` (None when singular);
-    signs are read as ``sign(d) * sign(N x)`` from integer dot products.
+    integer copy A of its columns, each scaled by the positive lcm of its
+    denominators, which leaves the oriented matroid unchanged.  Each basis
+    B caches its tableau T = D * B^-1 A over all columns, with D = +-det B
+    and the column index of the basis element behind each row (None when
+    B is singular).  C(B, e) is read off column e of T and C*(B, e) off
+    the row of e, both times sign(D), without further arithmetic.  A
+    basis one exchange away from the last tableau used gets its own by
+    one ``linalg.pivot``; any other basis, and a neighbour whose pivot
+    entry is zero (it is singular), is factored by ``linalg.invert``.  A
+    walk through adjacent bases therefore factors once.
     Rank-deficient realizations go through :func:`circuits_from_matrix`
     and :class:`ExplicitOM` instead; every configuration this package
     builds has an [I; ...] block.
@@ -223,19 +228,51 @@ class RealizedOM:
     def _column_indices(self, names: Iterable[str]) -> list[int]:
         return sorted(self.ground.index(name) for name in names)
 
-    def _basis_inverse(self, names: frozenset[str]):
-        """(column indices, (d, N) or None when singular), cached."""
+    def _tableau(self, names: frozenset[str]):
+        """``(js, d, t)`` with ``t = d * B^-1 A``, or None when ``names`` is no basis.
+
+        Row k of ``t`` belongs to the basis column ``js[k]``.  Cached per
+        basis; the entry used last is kept for the next exchange.
+        """
+        if len(names) != self.rank:
+            return None
         cache = self._cache()
-        if names not in cache:
-            js = self._column_indices(names)
-            cache[names] = (js, linalg.invert(self._rows(js)))
-        return cache[names]
+        if names in cache:
+            entry = cache[names]
+        else:
+            entry = self._exchanged(names) or self._factored(names)
+            cache[names] = entry
+        if entry is not None:
+            self.__dict__["_last_tableau"] = (names, entry)
+        return entry
+
+    def _exchanged(self, names: frozenset[str]):
+        """The tableau of ``names`` by one pivot from the last one used; None
+        when ``names`` is not one exchange away or the pivot entry is zero."""
+        last = self.__dict__.get("_last_tableau")
+        if last is None or len(names - last[0]) != 1:
+            return None
+        (entering,), (leaving,) = names - last[0], last[0] - names
+        js, d, t = last[1]
+        i = js.index(self.ground.index(leaving))
+        c = self.ground.index(entering)
+        p = t[i][c]
+        if p == 0:
+            return None
+        js = list(js)
+        js[i] = c
+        return js, p, linalg.pivot(t, i, c, d)
+
+    def _factored(self, names: frozenset[str]):
+        js = self._column_indices(names)
+        inv = linalg.invert(self._rows(js))
+        if inv is None:
+            return None
+        d, rows = inv
+        return js, d, [[sum(map(operator.mul, row, col)) for col in self._columns] for row in rows]
 
     def is_basis(self, subset: Iterable[str]) -> bool:
-        names = frozenset(subset)
-        if len(names) != self.rank:
-            return False
-        return self._basis_inverse(names)[1] is not None
+        return self._tableau(frozenset(subset)) is not None
 
     def is_independent(self, subset: Iterable[str]) -> bool:
         js = self._column_indices(subset)
@@ -249,25 +286,20 @@ class RealizedOM:
         return is_generic(self.matrix)
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """NotABasis, or the fundamental circuit C(B, e) from the cached inverse."""
+        """NotABasis, or the fundamental circuit C(B, e) from column e of the tableau."""
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
         j_e = self.ground.index(e)
-        if len(names) != self.rank:
+        entry = self._tableau(names)
+        if entry is None:
             return NOT_A_BASIS
-        js, inv = self._basis_inverse(names)
-        if inv is None:
-            return NOT_A_BASIS
-        d, rows = inv
-        target = self._columns[j_e]
-        if d < 0:
-            target = [-x for x in target]
+        js, d, t = entry
         signs = [ZERO] * self.ground.size
         signs[j_e] = PLUS
         # C(B, e) is -(B^-1 a_e) on B and + at e.
-        for j, row in zip(js, rows):
-            v = sum(map(operator.mul, row, target))
+        for j, row in zip(js, t):
+            v = row[j_e] if d > 0 else -row[j_e]
             signs[j] = MINUS if v > 0 else (PLUS if v < 0 else ZERO)
         return SignedSet(self.ground, tuple(signs))
 
@@ -275,22 +307,26 @@ class RealizedOM:
         return self.query(basis, e)
 
     def fundamental_cocircuit(self, basis: Iterable[str], e: str) -> SignedSet:
-        """Signs of the basis covector vanishing on B minus e, positive at e."""
+        """Signs of the basis covector vanishing on B minus e, positive at e:
+        sign(D) times the row of e in the tableau."""
         names = frozenset(basis)
         if e not in names:
             raise ValueError("fundamental cocircuits need an element of the basis")
-        js, inv = self._basis_inverse(names)
-        if inv is None:
+        entry = self._tableau(names)
+        if entry is None:
             raise ValueError("fundamental cocircuits are defined for bases only")
-        d, rows = inv
-        row = rows[js.index(self.ground.index(e))]
+        js, d, t = entry
+        row = t[js.index(self.ground.index(e))]
         if d < 0:
             row = [-x for x in row]
-        signs = []
-        for col in self._columns:
-            v = sum(map(operator.mul, row, col))
-            signs.append(PLUS if v > 0 else (MINUS if v < 0 else ZERO))
-        return SignedSet(self.ground, tuple(signs))
+        return SignedSet(
+            self.ground, tuple(PLUS if v > 0 else (MINUS if v < 0 else ZERO) for v in row)
+        )
+
+    def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
+        """C*(B, e) for every e in B, each read off the cached tableau of B."""
+        names = frozenset(basis)
+        return {e: self.fundamental_cocircuit(names, e) for e in names}
 
     def hyperplanes(self) -> Iterator[tuple[list[Fraction], SignedSet]]:
         """``(y, cocircuit)`` per set of rank - 1 columns spanning a hyperplane.

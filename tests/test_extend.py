@@ -14,7 +14,7 @@ from omcp.extend import (
     materialize_extension,
     validate_localization,
 )
-from omcp.om import NOT_A_BASIS, NotABasis
+from omcp.om import NOT_A_BASIS, ExplicitOM, NotABasis
 from omcp.plcp import random_p_matrix
 from omcp.realize import RationalMatrix, RealizedOM, hstack, is_generic, negated, omcp_from_plcp
 from omcp.signs import MINUS, PLUS, SIGNS, ZERO, GroundSet, SignedSet
@@ -203,3 +203,28 @@ def test_json_roundtrip(pm):
     again2 = Localization.from_json_dict(pm, d2)
     for c in pm.cocircuits():
         assert again2.evaluate(c) == table.evaluate(c)
+
+
+def test_extension_query_scans_each_base_circuit_once(monkeypatch):
+    # n = 3 pairs: the explicit base has |E| = 6 elements and rank r = 3, so
+    # C(B, q) needs the n - r = 3 circuits C(B, f), f outside B, once each.
+    m = random_p_matrix(3, random.Random(3))
+    matrix = hstack(RationalMatrix.identity(3), negated(m))
+    explicit = omcp_from_plcp(m, (0, 0, 0)).minor_delete("q")
+    realized = RealizedOM(matrix, GroundSet.complementary(3))
+    atoms = (LexAtom("t2", MINUS), LexAtom("s1", PLUS))
+    via_explicit = ExtensionOM(Localization(explicit, atoms))
+    via_realized = ExtensionOM(Localization(realized, atoms))
+    calls = []
+    original = ExplicitOM.query
+
+    def counting(self, basis, e):
+        calls.append(e)
+        return original(self, basis, e)
+
+    monkeypatch.setattr(ExplicitOM, "query", counting)
+    for basis in explicit.bases():
+        before = len(calls)
+        answer = via_explicit.query(basis, "q")
+        assert len(calls) - before == 3
+        assert answer == via_realized.query(basis, "q")
