@@ -196,12 +196,12 @@ def cmd_reduce(args) -> int:
     if args.reduce_command == "back-map":
         if args.sink is not None:
             cert = reduction.map_back_sink(
-                oracle, cube.vertex_from_name(args.sink), n
+                oracle, cube.vertex_from_name(args.sink, n), n
             )
         else:
             v, w = args.uv1
             cert = reduction.map_back_uv1(
-                oracle, cube.vertex_from_name(v), cube.vertex_from_name(w), n
+                oracle, cube.vertex_from_name(v, n), cube.vertex_from_name(w, n), n
             )
         _emit(certificate_to_json(cert))
         return 0 if isinstance(cert, pmatroid.M1) else 2

@@ -94,7 +94,10 @@ def vertex_name(v: int, n: int) -> str:
     return format(v, f"0{n}b")
 
 
-def vertex_from_name(s: str) -> int:
+def vertex_from_name(s: str, n: int) -> int:
+    """The vertex named by exactly n characters '0' or '1'."""
+    if len(s) != n or s.strip("01"):
+        raise ValueError(f"vertex name must be {n} characters 0 or 1, got {s!r}")
     return int(s, 2)
 
 

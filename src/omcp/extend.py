@@ -136,11 +136,6 @@ def lex_localization(base, element: str, sign: int) -> Localization:
     return Localization(base, (LexAtom(element, sign),))
 
 
-def all_zero_localization(base) -> Localization:
-    """Extends the base by a loop q: every fundamental circuit is q alone."""
-    return Localization(base)
-
-
 def extension_fundamental_circuit(sigma: Localization, basis: Iterable[str]) -> SignedSet:
     """C(B, q) of the extension specified by sigma, for a basis B of the base."""
     answer = ExtensionOM(sigma).query(basis, "q")

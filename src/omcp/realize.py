@@ -191,11 +191,12 @@ class RealizedOM:
     B caches its tableau T = D * B^-1 A over all columns, with D = +-det B
     and the column index of the basis element behind each row (None when
     B is singular).  C(B, e) is read off column e of T and C*(B, e) off
-    the row of e, both times sign(D), without further arithmetic.  A
-    basis one exchange away from the last tableau used gets its own by
-    one ``linalg.pivot``; any other basis, and a neighbour whose pivot
-    entry is zero (it is singular), is factored by ``linalg.invert``.  A
-    walk through adjacent bases therefore factors once.
+    the row of e, both times sign(D), without further arithmetic.  Only
+    the first tableau is factored, by ``linalg.invert``; every other
+    basis is walked to from the tableau used last, one ``linalg.pivot``
+    per entering column.  The dict stays: games, their transcript checks
+    and degeneracy scans revisit bases in vertex order, and walking
+    there anew costs many times the pivots.
     Rank-deficient realizations go through :func:`circuits_from_matrix`
     and :class:`ExplicitOM` instead; every configuration this package
     builds has an [I; ...] block.
@@ -222,54 +223,54 @@ class RealizedOM:
         cols = [self._columns[j] for j in js]
         return [[col[i] for col in cols] for i in range(self.rank)]
 
-    def _cache(self) -> dict:
-        return self.__dict__.setdefault("_basis_cache", {})
-
     def _column_indices(self, names: Iterable[str]) -> list[int]:
-        return sorted(self.ground.index(name) for name in names)
+        return sorted(map(self.ground.index, names))
 
     def _tableau(self, names: frozenset[str]):
         """``(js, d, t)`` with ``t = d * B^-1 A``, or None when ``names`` is no basis.
 
         Row k of ``t`` belongs to the basis column ``js[k]``.  Cached per
-        basis; the entry used last is kept for the next exchange.
+        basis; the entry used last starts the walk to the next miss.
         """
         if len(names) != self.rank:
             return None
-        cache = self._cache()
-        if names in cache:
-            entry = cache[names]
-        else:
-            entry = self._exchanged(names) or self._factored(names)
-            cache[names] = entry
+        cache = self.__dict__.setdefault("_basis_cache", {})
+        if names not in cache:
+            cache[names] = self._walk(self._column_indices(names))
+        entry = cache[names]
         if entry is not None:
-            self.__dict__["_last_tableau"] = (names, entry)
+            self.__dict__["_last"] = entry
         return entry
 
-    def _exchanged(self, names: frozenset[str]):
-        """The tableau of ``names`` by one pivot from the last one used; None
-        when ``names`` is not one exchange away or the pivot entry is zero."""
-        last = self.__dict__.get("_last_tableau")
-        if last is None or len(names - last[0]) != 1:
-            return None
-        (entering,), (leaving,) = names - last[0], last[0] - names
-        js, d, t = last[1]
-        i = js.index(self.ground.index(leaving))
-        c = self.ground.index(entering)
-        p = t[i][c]
-        if p == 0:
-            return None
-        js = list(js)
-        js[i] = c
-        return js, p, linalg.pivot(t, i, c, d)
+    def _walk(self, target: list[int]):
+        """The tableau of the columns ``target``, walked from the last one used.
 
-    def _factored(self, names: frozenset[str]):
-        js = self._column_indices(names)
-        inv = linalg.invert(self._rows(js))
-        if inv is None:
-            return None
-        d, rows = inv
-        return js, d, [[sum(map(operator.mul, row, col)) for col in self._columns] for row in rows]
+        Each entering column c, in increasing index, replaces the first
+        leaving row with a non-zero entry in column c.  None when there is
+        no such row: then c depends on columns that stay, so ``target`` is
+        no basis.
+        """
+        last = self.__dict__.get("_last")
+        if last is None:
+            inv = linalg.invert(self._rows(target))
+            if inv is None:
+                return None
+            d, rows = inv
+            cols = self._columns
+            return target, d, [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+        js, d, t = last
+        js = list(js)
+        stays = set(target)
+        for c in sorted(stays.difference(js)):
+            for i, j in enumerate(js):
+                if j not in stays and t[i][c] != 0:
+                    break
+            else:
+                return None
+            t = linalg.pivot(t, i, c, d)
+            d = t[i][c]
+            js[i] = c
+        return js, d, t
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._tableau(frozenset(subset)) is not None

@@ -210,6 +210,7 @@ NON_MATROID = {"n": 1, "ground": ["s1", "t1", "q"],
 NON_PM_BASE = {"n": 1, "ground": ["s1", "t1"], "circuits": ["+-", "-+"]}
 # The base's cocircuits are ++ and --; giving both the value + is not sign-odd.
 SIGN_EVEN_TABLE = {"base": NON_PM_BASE, "table": {"++": "+", "--": "+"}}
+LCP3 = json.loads((DATA / "lcp3_generic.json").read_text())
 
 MALFORMED = [
     pytest.param(["uso", "check"], {"n": 2, "outmaps": []}, id="uso-check-no-outmaps"),
@@ -232,6 +233,10 @@ MALFORMED = [
     pytest.param(["om", "degeneracy", "--no-validate"], NON_MATROID, id="degeneracy-non-matroid"),
     pytest.param(["reduce", "klaus", "--no-validate"], NON_MATROID, id="klaus-non-matroid"),
     pytest.param(["reduce", "back-map", "--no-validate", "--sink", "0"], NON_MATROID, id="back-map-non-matroid"),
+    pytest.param(["reduce", "back-map", "--sink", "0100"], LCP3, id="back-map-long-vertex"),
+    pytest.param(["reduce", "back-map", "--sink", "0b100"], LCP3, id="back-map-prefixed-vertex"),
+    pytest.param(["reduce", "back-map", "--sink", "1_00"], LCP3, id="back-map-underscore-vertex"),
+    pytest.param(["reduce", "back-map", "--uv1", "001", "1001"], LCP3, id="back-map-long-uv1-vertex"),
     pytest.param(["om", "cocircuits", "--no-validate"], NON_MATROID, id="cocircuits-non-matroid"),
     pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": 5}, id="klaus-int-atoms"),
     pytest.param(["reduce", "klaus"], {"base": NON_PM_BASE, "atoms": [5]}, id="klaus-int-atom"),

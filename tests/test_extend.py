@@ -8,7 +8,6 @@ from omcp.extend import (
     ExtensionOM,
     LexAtom,
     Localization,
-    all_zero_localization,
     extension_fundamental_circuit,
     lex_localization,
     materialize_extension,
@@ -57,7 +56,7 @@ def test_lex_zero_entry_branch(pm, ext):
 
 
 def test_compose_identity_and_idempotence(pm):
-    zero = all_zero_localization(pm)
+    zero = Localization(pm)
     sigma = lex_localization(pm, "t1", MINUS)
     for d in pm.cocircuits():
         assert zero.compose(sigma).evaluate(d) == sigma.evaluate(d)
@@ -104,7 +103,7 @@ def test_extension_fundamental_circuit_reproduces_example(pm, ext):
 
 
 def test_all_zero_extension_is_q_loop(pm, ext_degenerate):
-    sigma = all_zero_localization(pm)
+    sigma = Localization(pm)
     for basis in pm.bases():
         c = extension_fundamental_circuit(sigma, basis)
         assert c.encode() == "00+"

@@ -148,15 +148,39 @@ def test_gray_walk_factors_one_basis(invert_calls):
         assert orientation.outmap(v) == orient_vertex_total(fresh, v, 8)
 
 
-def test_singular_neighbour_falls_back_to_factoring(invert_calls):
-    data = json.loads((DATA / "lcp3_singular.json").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", ["lcp3_singular.json", "lcp2_two_singular.json"])
+def test_singular_sets_are_found_without_factoring(invert_calls, name):
+    data = json.loads((DATA / name).read_text(encoding="utf-8"))
     m = RationalMatrix.from_rows(data["M"])
     q = [Fraction(x) for x in data["q"]]
-    orientation = klaus_orientation(lcp_oracle(m, q), 3).materialize()
-    # A zero pivot entry and the basis after the singular one are factored.
-    assert True in invert_calls and invert_calls.count(False) > 1
-    for v in range(8):
-        assert orientation.outmap(v) == orient_vertex_total(lcp_oracle(m, q), v, 3)
+    n = m.rows
+    orientation = klaus_orientation(lcp_oracle(m, q), n).materialize()
+    # The walk meets the singular complementary sets and factors nothing more.
+    assert invert_calls == [False]
+    for v in range(1 << n):
+        assert orientation.outmap(v) == orient_vertex_total(lcp_oracle(m, q), v, n)
+
+
+def test_far_jump_pivots_once_per_entering_column(invert_calls, monkeypatch):
+    rng = random.Random(9)
+    m = random_p_matrix(8, rng)
+    q = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
+    pivots = []
+    original = linalg.pivot
+
+    def counting(*args):
+        pivots.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counting)
+    oracle = lcp_oracle(m, q)
+    first = orient_vertex_total(oracle, 0, 8)
+    # Factoring the first basis runs its own pivots inside linalg.invert.
+    pivots.clear()
+    last = orient_vertex_total(oracle, 255, 8)
+    assert len(pivots) == 8 and invert_calls == [False]
+    assert first == orient_vertex_total(lcp_oracle(m, q), 0, 8)
+    assert last == orient_vertex_total(lcp_oracle(m, q), 255, 8)
 
 
 def test_fundamental_cocircuits_agree_with_single_reads():
