@@ -49,7 +49,8 @@ def _lcp_oracle(data: dict) -> RealizedOM:
 
 
 def _load_oracle(path: str, validate: bool):
-    """Instance file -> circuit oracle; explicit circuits or an (M, q) pair."""
+    """Instance file -> circuit oracle with an extension element q;
+    explicit circuits, a localization or an (M, q) pair."""
     data = _read_json(path)
     if "M" in data:
         return _lcp_oracle(data)
@@ -61,8 +62,12 @@ def _load_oracle(path: str, validate: bool):
             if not result.valid:
                 detail = f": {result.violation!r}" if result.violation else ""
                 raise ValueError(f"invalid localization: {result.reason}{detail}")
-        return ExtensionOM(sigma)
-    return ExplicitOM.from_json_dict(data, validate=validate)
+        oracle = ExtensionOM(sigma)
+    else:
+        oracle = ExplicitOM.from_json_dict(data, validate=validate)
+    if oracle.ground.q is None:
+        raise ValueError("instance has no extension element q")
+    return oracle
 
 
 def _load_explicit(path: str, validate: bool) -> ExplicitOM:

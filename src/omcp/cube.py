@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .guards import USO_EXHAUSTIVE_DIM, check
+from .guards import OMCP_SCAN_DIM, USO_EXHAUSTIVE_DIM, check
 from .signs import MINUS, PLUS, ZERO, char_sign, sign_char
 
 
@@ -153,6 +153,7 @@ class Orientation:
         """
         if self._table is not None:
             return self
+        check(self.n, OMCP_SCAN_DIM, "materialized cube dimension")
         table: list = [None] * (1 << self.n)
         for k in self.vertices():
             v = k ^ (k >> 1)

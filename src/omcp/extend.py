@@ -14,7 +14,6 @@ C(B, q).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -205,11 +204,10 @@ def materialize_extension(sigma: Localization) -> ExplicitOM:
         lifted = SignedSet(ground, tuple(c.signs) + (ZERO,))
         circuits.add(lifted)
         circuits.add(lifted.negate())
-    for combo in itertools.combinations(base.ground.elements, base.rank):
-        if base.is_basis(combo):
-            c = oracle.query(combo, "q")
-            circuits.add(c)
-            circuits.add(c.negate())
+    for basis in base.bases():
+        c = oracle.query(basis, "q")
+        circuits.add(c)
+        circuits.add(c.negate())
     return ExplicitOM(ground, frozenset(circuits))
 
 

@@ -12,8 +12,10 @@ import os
 
 # Defaults: ground-set size for cocircuit enumeration over all bases, cube
 # dimension for exhaustive face checks, cube dimension for sink-finding
-# games, matrix columns for minimal-dependency enumeration, basis count for
-# OMCP scans.
+# games, matrix columns for circuit enumeration over all bases of a
+# realization, and the dimension n of every other 2^n scan: complementary
+# sets (OMCP solve, degeneracy, basis checks), principal minors (P-matrix
+# check) and the vertices of a materialized cube orientation.
 DUALITY_ELEMENTS = 12
 USO_EXHAUSTIVE_DIM = 4
 GAME_DIM = 6

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from . import linalg
 from .cube import Orientation, vertex_bits
-from .realize import RationalMatrix, RealizedOM, Vector, parse_vector
+from .guards import OMCP_SCAN_DIM, check
+from .realize import RationalMatrix, RealizedOM, Vector, hstack, parse_vector
 from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
 
 
@@ -47,6 +48,7 @@ def is_p_matrix(m: RationalMatrix) -> tuple[bool, tuple[int, ...] | None]:
     if m.rows != m.cols:
         raise ValueError("P-matrix check needs a square matrix")
     n = m.rows
+    check(n, OMCP_SCAN_DIM, "P-matrix dimension")
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             sub = [[m.entries[i][j] for j in combo] for i in combo]
@@ -125,18 +127,24 @@ def plcp_ppu(m: RationalMatrix, q: Vector) -> Orientation:
 def localization_from_q(base: RealizedOM, q: Vector):
     """Explicit localization table induced by a q-vector on a realized base.
 
-    Each cocircuit of [I; -M] is the sign vector of some covector y; the
-    induced extension assigns that cocircuit the sign of y . (-q), matching
-    the circuits of [I; -M; -q].
+    The extension is realized by [A | -q] for the base matrix A, and the
+    localization rule of ``ExtensionOM`` read backwards gives
+    sigma(C*(B, e)) = -C(B, q)_e for every basis B and every e in B.
     """
     from .extend import Localization
 
+    extended = RealizedOM(
+        hstack(base.matrix, RationalMatrix(tuple((-v,) for v in q))), base.ground.extended_by_q()
+    )
+    if extended.rank != base.rank:
+        raise ValueError("q lies outside the column span of the base")
     table: dict[SignedSet, int] = {}
-    for y, d in base.hyperplanes():
-        q_val = sum(y[i] * -q[i] for i in range(base.rank))
-        sigma = PLUS if q_val > 0 else (MINUS if q_val < 0 else ZERO)
-        table[d] = sigma
-        table[d.negate()] = -sigma
+    for basis in base.bases():
+        circuit = extended.query(basis, "q")
+        for e, d in base.fundamental_cocircuits(basis).items():
+            sigma = -circuit.sign_of(e)
+            table[d] = sigma
+            table[d.negate()] = -sigma
     return Localization(base, (), table)
 
 

@@ -170,8 +170,12 @@ def is_p_matroid(om) -> PMatroidCheck:
 
 
 def complementary_vertex_sets(ground: GroundSet):
-    """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1)."""
+    """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1).
+
+    Every scan over complementary sets runs through here, so the guard is
+    checked once, on the first set drawn."""
     n = ground.n_pairs
+    check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     for v in range(1 << n):
         yield v, ground.complementary_basis(vertex_bits(v, n))
 
@@ -218,7 +222,6 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     basis, or None when the full scan finds neither (a non-P-matroid input
     without an easily extracted certificate).
     """
-    check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     ground: GroundSet = oracle.ground
     for _, basis in complementary_vertex_sets(ground):
         answer = oracle.query(basis, ground.q)

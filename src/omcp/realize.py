@@ -2,11 +2,12 @@
 
 A column configuration over the rationals realizes an oriented matroid
 whose circuits are the sign patterns of the minimal linear dependencies
-among columns.  Besides materializing that circuit set, this module
-provides :class:`RealizedOM`, an oracle-grade representation that answers
-basis and fundamental circuit/cocircuit queries directly from the matrix
-without ever enumerating circuits, and the construction producing the
-complementarity instance [I; -M; -q] from an LCP pair (M, q).
+among columns.  :class:`RealizedOM` answers basis and fundamental
+circuit/cocircuit queries from exact integer basis tableaux, and reads
+its whole circuit and cocircuit sets off the tableaux of all its bases:
+every circuit is a fundamental circuit and every cocircuit a fundamental
+cocircuit of some basis.  The module also builds the complementarity
+instance [I; -M; -q] from an LCP pair (M, q).
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ class RationalMatrix:
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.entries]
 
-    def scale_column(self, j: int, factor: Fraction) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(v * factor if k == j else v for k, v in enumerate(row))
-                for row in self.entries
-            )
-        )
-
     def to_json_rows(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
 
@@ -110,45 +103,8 @@ def negated(m: RationalMatrix) -> RationalMatrix:
 
 
 def circuits_from_matrix(matrix: RationalMatrix, ground: GroundSet) -> ExplicitOM:
-    """Oriented matroid of the column configuration.
-
-    Column subsets are scanned in increasing size; a subset that contains no
-    previously found circuit support and is linearly dependent is minimal,
-    and its (one-dimensional) exact kernel yields the dependency signs.
-    Both sign variants are emitted, normalized so the first non-zero
-    coefficient of the representative is positive.
-    """
-    if matrix.cols != ground.size:
-        raise ValueError("column count does not match ground-set size")
-    check(matrix.cols, MATRIX_COLUMNS, "matrix columns")
-
-    found_supports: list[int] = []
-    circuits: set[SignedSet] = set()
-    indices = range(matrix.cols)
-    for size in range(1, matrix.cols + 1):
-        for combo in itertools.combinations(indices, size):
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            if any(s & ~mask == 0 for s in found_supports):
-                continue
-            kernel = linalg.kernel_vector_of_columns(
-                [matrix.column(j) for j in combo]
-            )
-            if kernel is None:
-                continue
-            if any(v == 0 for v in kernel):
-                raise RuntimeError("kernel of a minimal dependent set must have full support")
-            if kernel[0] < 0:
-                kernel = [-v for v in kernel]
-            signs = [ZERO] * ground.size
-            for j, v in zip(combo, kernel):
-                signs[j] = PLUS if v > 0 else MINUS
-            circuit = SignedSet(ground, tuple(signs))
-            circuits.add(circuit)
-            circuits.add(circuit.negate())
-            found_supports.append(mask)
-    return ExplicitOM(ground, frozenset(circuits))
+    """Oriented matroid of the column configuration, as an explicit circuit set."""
+    return RealizedOM(matrix, ground).to_explicit()
 
 
 def is_generic(matrix: RationalMatrix) -> bool:
@@ -177,29 +133,28 @@ def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
 def omcp_from_plcp(m: RationalMatrix, q: Vector) -> ExplicitOM:
     """Explicit circuit set of the complementarity instance built from (M, q)."""
     ground = GroundSet.complementary(m.rows, with_q=True)
-    return circuits_from_matrix(plcp_matrix(m, q), ground)
+    return RealizedOM(plcp_matrix(m, q), ground).to_explicit()
 
 
 @dataclass(frozen=True, eq=False)
 class RealizedOM:
-    """Circuit oracle backed by a full-row-rank rational realization.
+    """Circuit oracle backed by a rational realization.
 
-    Queries are answered from exact integer tableaux, so no part of the
-    circuit collection is materialized up front.  The oracle keeps an
-    integer copy A of its columns, each scaled by the positive lcm of its
-    denominators, which leaves the oriented matroid unchanged.  Each basis
-    B caches its tableau T = D * B^-1 A over all columns, with D = +-det B
-    and the column index of the basis element behind each row (None when
-    B is singular).  C(B, e) is read off column e of T and C*(B, e) off
-    the row of e, both times sign(D), without further arithmetic.  Only
-    the first tableau is factored, by ``linalg.invert``; every other
-    basis is walked to from the tableau used last, one ``linalg.pivot``
-    per entering column.  The dict stays: games, their transcript checks
-    and degeneracy scans revisit bases in vertex order, and walking
-    there anew costs many times the pivots.
-    Rank-deficient realizations go through :func:`circuits_from_matrix`
-    and :class:`ExplicitOM` instead; every configuration this package
-    builds has an [I; ...] block.
+    The oracle keeps a maximal independent set of the matrix rows, which
+    span the same row space and so realize the same oriented matroid, and
+    an integer copy A of its columns on those rows, each scaled by the
+    positive lcm of its denominators, which leaves the oriented matroid
+    unchanged too.  Each basis B caches its tableau T = D * B^-1 A over
+    all columns, with D = +-det B and the column index of the basis
+    element behind each row (None when B is singular).  C(B, e) is read
+    off column e of T and C*(B, e) off the row of e, both times sign(D),
+    without further arithmetic.  Only the first tableau is factored, by
+    ``linalg.invert``; every other basis is walked to from the tableau
+    used last, one ``linalg.pivot`` per entering column.  The dict stays:
+    games, their transcript checks and degeneracy scans revisit bases in
+    vertex order, and walking there anew costs many times the pivots.
+    The circuit and cocircuit sets are read off the tableaux of all
+    bases, which one walk visits in lexicographic order without caching.
     """
 
     matrix: RationalMatrix
@@ -208,15 +163,20 @@ class RealizedOM:
     def __post_init__(self) -> None:
         if self.matrix.cols != self.ground.size:
             raise ValueError("column count does not match ground-set size")
-        self.__dict__["_columns"] = tuple(
-            linalg.integer_multiple(self.matrix.column(j))[1] for j in range(self.matrix.cols)
-        )
-        if linalg.mat_rank(self._rows(range(self.matrix.cols))) != self.matrix.rows:
-            raise ValueError("realization oracle requires full row rank")
+        cols = [linalg.integer_multiple(self.matrix.column(j))[1] for j in range(self.matrix.cols)]
+        rows = [[col[i] for col in cols] for i in range(self.matrix.rows)]
+        kept = list(range(self.matrix.rows))
+        if linalg.mat_rank(rows) < len(rows):
+            kept = []
+            for i in range(len(rows)):
+                if linalg.mat_rank([rows[k] for k in kept + [i]]) > len(kept):
+                    kept.append(i)
+        self.__dict__["_spanning"] = RationalMatrix(tuple(self.matrix.entries[i] for i in kept))
+        self.__dict__["_columns"] = tuple([col[i] for i in kept] for col in cols)
 
     @property
     def rank(self) -> int:
-        return self.matrix.rows
+        return self._spanning.rows
 
     def _rows(self, js: Iterable[int]) -> list[list[int]]:
         """Row-major integer submatrix on the columns ``js``."""
@@ -272,6 +232,38 @@ class RealizedOM:
             js[i] = c
         return js, d, t
 
+    def _all_tableaux(self) -> Iterator[tuple[list[int], int, list[list[int]]]]:
+        """``(js, d, t)`` for every basis, the rank-subsets of columns taken
+        in lexicographic order; each is walked to from the one before and
+        none is stored in the basis cache."""
+        for target in itertools.combinations(range(self.matrix.cols), self.rank):
+            entry = self._walk(list(target))
+            if entry is not None:
+                self.__dict__["_last"] = entry
+                yield entry
+
+    def bases(self) -> Iterator[frozenset[str]]:
+        """Every basis, in the order of :meth:`ExplicitOM.bases`."""
+        names = self.ground.elements
+        for js, _, _ in self._all_tableaux():
+            yield frozenset(names[j] for j in js)
+
+    def _signed(self, d: int, x: Iterable[int]) -> SignedSet:
+        """The sign vector of sign(d) * x."""
+        pos, neg = (PLUS, MINUS) if d > 0 else (MINUS, PLUS)
+        # tuple() of a list allocates the exact size; of a generator it
+        # resizes, and the freed tuples pile up on CPython's tuple free list.
+        signs = [pos if v > 0 else (neg if v < 0 else ZERO) for v in x]
+        return SignedSet(self.ground, tuple(signs))
+
+    def _circuit(self, js: list[int], d: int, t: list[list[int]], e: int) -> SignedSet:
+        """C(B, e) from column e of the tableau: -(B^-1 a_e) on B and + at e."""
+        x = [0] * self.ground.size
+        x[e] = d
+        for j, row in zip(js, t):
+            x[j] = -row[e]
+        return self._signed(d, x)
+
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._tableau(frozenset(subset)) is not None
 
@@ -284,7 +276,7 @@ class RealizedOM:
 
     @cached_property
     def _uniform(self) -> bool:
-        return is_generic(self.matrix)
+        return is_generic(self._spanning)
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """NotABasis, or the fundamental circuit C(B, e) from column e of the tableau."""
@@ -295,14 +287,7 @@ class RealizedOM:
         entry = self._tableau(names)
         if entry is None:
             return NOT_A_BASIS
-        js, d, t = entry
-        signs = [ZERO] * self.ground.size
-        signs[j_e] = PLUS
-        # C(B, e) is -(B^-1 a_e) on B and + at e.
-        for j, row in zip(js, t):
-            v = row[j_e] if d > 0 else -row[j_e]
-            signs[j] = MINUS if v > 0 else (PLUS if v < 0 else ZERO)
-        return SignedSet(self.ground, tuple(signs))
+        return self._circuit(*entry, j_e)
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -317,53 +302,22 @@ class RealizedOM:
         if entry is None:
             raise ValueError("fundamental cocircuits are defined for bases only")
         js, d, t = entry
-        row = t[js.index(self.ground.index(e))]
-        if d < 0:
-            row = [-x for x in row]
-        return SignedSet(
-            self.ground, tuple(PLUS if v > 0 else (MINUS if v < 0 else ZERO) for v in row)
-        )
+        return self._signed(d, t[js.index(self.ground.index(e))])
 
     def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
         """C*(B, e) for every e in B, each read off the cached tableau of B."""
         names = frozenset(basis)
         return {e: self.fundamental_cocircuit(names, e) for e in names}
 
-    def hyperplanes(self) -> Iterator[tuple[list[Fraction], SignedSet]]:
-        """``(y, cocircuit)`` per set of rank - 1 columns spanning a hyperplane.
-
-        y is normal to the hyperplane; the cocircuit holds the signs of
-        ``y . column`` over the integer columns.  A hyperplane spanned by
-        several column sets comes once per set.
-        """
-        n = self.rank
-        cols = self._columns
-        for combo in itertools.combinations(range(self.matrix.cols), n - 1):
-            sub = [cols[j] for j in combo]
-            if sub and linalg.mat_rank([[c[i] for c in sub] for i in range(n)]) != n - 1:
-                continue
-            # y spans the orthogonal complement of the chosen columns.
-            y = linalg.kernel_vector_of_columns(
-                [[col[i] for col in sub] for i in range(n)] if sub else []
-            )
-            if y is None:
-                if sub:
-                    continue
-                y = [Fraction(1)] + [Fraction(0)] * (n - 1)
-            signs = []
-            for col in cols:
-                v = sum(y[i] * col[i] for i in range(n))
-                signs.append(PLUS if v > 0 else (MINUS if v < 0 else ZERO))
-            if any(signs):
-                yield y, SignedSet(self.ground, tuple(signs))
-
     def cocircuits(self) -> frozenset[SignedSet]:
-        """All cocircuits, one ± pair per hyperplane spanned by columns."""
+        """All cocircuits: every row of every basis tableau, times sign(D), and
+        its negation."""
         return self._cocircuits
 
     @cached_property
     def _cocircuits(self) -> frozenset[SignedSet]:
-        return frozenset(x for _, d in self.hyperplanes() for x in (d, d.negate()))
+        found = {self._signed(d, row) for _, d, t in self._all_tableaux() for row in t}
+        return frozenset(found | {y.negate() for y in found})
 
     def circuit_set(self) -> frozenset[SignedSet]:
         return self._explicit.circuits
@@ -373,4 +327,12 @@ class RealizedOM:
 
     @cached_property
     def _explicit(self) -> ExplicitOM:
-        return circuits_from_matrix(self.matrix, self.ground)
+        """Every C(B, e) with e outside a basis B, and its negation."""
+        check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
+        found = {
+            self._circuit(js, d, t, e)
+            for js, d, t in self._all_tableaux()
+            for e in range(self.matrix.cols)
+            if e not in js
+        }
+        return ExplicitOM(self.ground, frozenset(found | {c.negate() for c in found}))

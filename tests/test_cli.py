@@ -101,6 +101,24 @@ def test_reduce_klaus(tmp_path, capsys):
     assert emitted == {"n": 1, "outmaps": ["0", "0"]}
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["reduce", "klaus"],
+        ["reduce", "back-map", "--sink", "0"],
+        ["om", "solve-omcp"],
+        ["om", "degeneracy"],
+    ],
+    ids=["klaus", "back-map", "solve-omcp", "degeneracy"],
+)
+def test_instance_without_q_is_rejected(tmp_path, capsys, command):
+    path = om_file(tmp_path, NON_PM_CIRCUITS, ["s1", "t1"])
+    assert main([*command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance has no extension element q\n"
+
+
 def test_reduce_back_map(tmp_path, capsys):
     ext = om_file(tmp_path, EXT_CIRCUITS, ["s1", "t1", "q"], name="ext.json")
     code, report = run(capsys, ["reduce", "back-map", ext, "--sink", "1"])

@@ -6,7 +6,8 @@ call ``omcp`` functions by module attribute; a rename in ``omcp`` that
 drops one of those names fails here.  Library code must not rely on
 ``assert``, which ``python -O`` strips, and only ``guards`` may read the
 environment: its ``OMCP_GUARD_OVERRIDE`` is the package's one setting
-outside the call arguments.
+outside the call arguments.  Only ``realize`` and ``plcp`` read a matrix
+through ``linalg``: every other module reaches a matrix through an oracle.
 """
 
 import ast
@@ -91,3 +92,22 @@ def test_only_guards_reads_the_environment():
         )
     }
     assert readers == {"guards.py"}
+
+
+def _imports_linalg(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "linalg" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")[-1]
+        return module == "linalg" or any(alias.name == "linalg" for alias in node.names)
+    return False
+
+
+def test_only_realize_and_plcp_import_linalg():
+    importers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _imports_linalg(node)
+    }
+    assert importers == {"realize.py", "plcp.py"}

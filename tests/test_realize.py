@@ -1,3 +1,11 @@
+"""Realized oriented matroids against a circuit scan of their own.
+
+``RealizedOM`` reads every set system off its basis tableaux.  The
+reference here is the subset-kernel scan it replaced: column subsets in
+increasing size, each minimal dependent one giving a circuit through its
+one-dimensional kernel.
+"""
+
 import itertools
 import random
 from fractions import Fraction
@@ -5,8 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omcp.guards import SizeGuardError
-from omcp.om import NOT_A_BASIS, NotABasis, check_circuit_axioms
+from omcp import linalg
+from omcp.guards import MATRIX_COLUMNS, SizeGuardError, check
+from omcp.om import NOT_A_BASIS, ExplicitOM, NotABasis, check_circuit_axioms
 from omcp.realize import (
     RationalMatrix,
     RealizedOM,
@@ -18,7 +27,59 @@ from omcp.realize import (
     parse_rational,
     plcp_matrix,
 )
-from omcp.signs import GroundSet
+from omcp.signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
+from test_duality import reference_cocircuits
+
+
+def reference_circuits(matrix: RationalMatrix, ground: GroundSet) -> ExplicitOM:
+    """Oriented matroid of the column configuration.
+
+    Column subsets are scanned in increasing size; a subset that contains no
+    previously found circuit support and is linearly dependent is minimal,
+    and its (one-dimensional) exact kernel yields the dependency signs.
+    Both sign variants are emitted, normalized so the first non-zero
+    coefficient of the representative is positive.
+    """
+    if matrix.cols != ground.size:
+        raise ValueError("column count does not match ground-set size")
+    check(matrix.cols, MATRIX_COLUMNS, "matrix columns")
+
+    found_supports: list[int] = []
+    circuits: set[SignedSet] = set()
+    indices = range(matrix.cols)
+    for size in range(1, matrix.cols + 1):
+        for combo in itertools.combinations(indices, size):
+            mask = 0
+            for j in combo:
+                mask |= 1 << j
+            if any(s & ~mask == 0 for s in found_supports):
+                continue
+            kernel = linalg.kernel_vector_of_columns(
+                [matrix.column(j) for j in combo]
+            )
+            if kernel is None:
+                continue
+            if any(v == 0 for v in kernel):
+                raise RuntimeError("kernel of a minimal dependent set must have full support")
+            if kernel[0] < 0:
+                kernel = [-v for v in kernel]
+            signs = [ZERO] * ground.size
+            for j, v in zip(combo, kernel):
+                signs[j] = PLUS if v > 0 else MINUS
+            circuit = SignedSet(ground, tuple(signs))
+            circuits.add(circuit)
+            circuits.add(circuit.negate())
+            found_supports.append(mask)
+    return ExplicitOM(ground, frozenset(circuits))
+
+
+def scale_column(m: RationalMatrix, j: int, factor: Fraction) -> RationalMatrix:
+    return RationalMatrix(
+        tuple(
+            tuple(v * factor if k == j else v for k, v in enumerate(row))
+            for row in m.entries
+        )
+    )
 
 
 def test_parse_rational():
@@ -112,9 +173,9 @@ def test_column_scaling_invariance(case):
     m = RationalMatrix.from_rows(rows)
     ground = GroundSet.plain([f"e{i}" for i in range(2 * n)])
     base = circuits_from_matrix(m, ground)
-    scaled_up = circuits_from_matrix(m.scale_column(column, factor), ground)
+    scaled_up = circuits_from_matrix(scale_column(m, column, factor), ground)
     assert scaled_up.circuits == base.circuits
-    flipped = circuits_from_matrix(m.scale_column(column, -factor), ground)
+    flipped = circuits_from_matrix(scale_column(m, column, -factor), ground)
     expected = set()
     for c in base.circuits:
         signs = list(c.signs)
@@ -145,7 +206,7 @@ def test_realized_oracle_cocircuits_match_bruteforce():
             break
         ground = GroundSet.complementary(n)
         realized = RealizedOM(a, ground)
-        explicit = circuits_from_matrix(a, ground)
+        explicit = reference_circuits(a, ground)
         assert realized.cocircuits() == explicit.cocircuits()
         assert realized.circuit_set() == explicit.circuits
 
@@ -155,15 +216,73 @@ def test_realized_fundamental_cocircuit_matches_explicit():
     a = hstack(RationalMatrix.identity(2), negated(m))
     ground = GroundSet.complementary(2)
     realized = RealizedOM(a, ground)
-    explicit = circuits_from_matrix(a, ground)
+    explicit = reference_circuits(a, ground)
     for basis in explicit.bases():
         for e in basis:
             assert realized.fundamental_cocircuit(basis, e) == explicit.fundamental_cocircuit(basis, e)
 
 
-def test_realized_requires_full_row_rank():
-    with pytest.raises(ValueError):
-        RealizedOM(RationalMatrix.from_rows([[1, 1], [1, 1]]), GroundSet.complementary(1))
+def test_realized_reduces_dependent_rows():
+    ground = GroundSet.complementary(1)
+    doubled = RealizedOM(RationalMatrix.from_rows([[1, 1], [1, 1]]), ground)
+    single = RealizedOM(RationalMatrix.from_rows([[1, 1]]), ground)
+    assert doubled.rank == single.rank == 1
+    assert doubled.circuit_set() == single.circuit_set()
+    assert doubled.cocircuits() == single.cocircuits()
+    assert list(doubled.bases()) == list(single.bases())
+
+
+def test_rank_deficient_uniform_realization():
+    realized = RealizedOM(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), GroundSet.plain("abc"))
+    assert realized.rank == 1
+    assert realized.is_uniform()
+    assert list(realized.bases()) == [frozenset("a"), frozenset("b"), frozenset("c")]
+
+
+ENTRIES = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def configurations(draw) -> RationalMatrix:
+    """At most 7 columns, with optional dependent and zero rows, a
+    parallel or antiparallel column pair and a zero column (a loop)."""
+    cols = draw(st.integers(1, 7))
+    row = st.lists(ENTRIES, min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a, b = draw(ENTRIES), draw(ENTRIES)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * cols)
+    if cols > 1 and draw(st.booleans()):
+        source, copy = draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(st.sampled_from([-2, -1, 1, 2]))
+        for r in rows:
+            r[copy] = factor * r[source]
+    if draw(st.booleans()):
+        loop = draw(st.integers(0, cols - 1))
+        for r in rows:
+            r[loop] = Fraction(0)
+    return RationalMatrix(tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations())
+@example(RationalMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+@example(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
+@example(RationalMatrix.from_rows([[1, 0, 1, 2], [0, 0, 0, 0], [2, 0, 2, 4]]))
+@example(RationalMatrix.from_rows([[-1, 2, 1, 0], [3, 1, -2, 1], [0, 0, 0, 0]]))
+def test_realized_sets_match_reference(matrix):
+    """Circuits, cocircuits and bases read off the tableaux equal the
+    subset-kernel scan, the 3^|E| cocircuit scan and its bases."""
+    ground = GroundSet.plain("abcdefg"[: matrix.cols])
+    realized = RealizedOM(matrix, ground)
+    reference = reference_circuits(matrix, ground)
+    assert realized.circuit_set() == reference.circuits
+    assert realized.cocircuits() == reference_cocircuits(reference)
+    assert list(realized.bases()) == list(reference.bases())
+    assert realized.rank == reference.rank
+    assert realized.is_uniform() == reference.is_uniform()
 
 
 RATIONALS = st.one_of(
@@ -190,7 +309,7 @@ def test_realized_signs_match_circuit_enumeration(case):
     m = RationalMatrix(tuple(tuple(r) for r in rows))
     ground = GroundSet.complementary(n, with_q=True)
     realized = RealizedOM(plcp_matrix(m, tuple(q)), ground)
-    explicit = omcp_from_plcp(m, tuple(q))
+    explicit = reference_circuits(plcp_matrix(m, tuple(q)), ground)
     for basis in itertools.combinations(ground.elements, n):
         names = frozenset(basis)
         for e in ground.elements:
