@@ -50,7 +50,7 @@ class AdversaryState:
             raise ValueError("adversary base must live on a complementary ground set")
         self.base = base
         self.n = ground.n_pairs
-        # The guard comes first: the uniformity scan takes C(2n, n) determinants.
+        # The guard comes first: the uniformity check takes C(2n, n) - 1 minors.
         check(self.n, GAME_DIM, "game dimension")
         if not base.is_uniform():
             raise ValueError("adversary base must be uniform")
@@ -119,7 +119,8 @@ def random_uniform_base(n: int, rng: random.Random) -> RealizedOM:
         base = RealizedOM(
             hstack(RationalMatrix.identity(n), negated(m)), GroundSet.complementary(n)
         )
-        # is_uniform caches its answer, so AdversaryState(base) does not recompute it.
+        # is_uniform reads every minor of one basis tableau and caches its
+        # answer, so AdversaryState(base) does not recompute it.
         if base.is_uniform():
             return base
     raise RuntimeError("could not draw a generic P-matrix realization")

@@ -96,10 +96,15 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
     return m, pivots, prev, den
 
 
-def mat_rank(rows: Matrix) -> int:
+def pivot_columns(rows: Matrix) -> list[int]:
+    """The first independent columns, in the order elimination finds them."""
     if not rows or not rows[0]:
-        return 0
-    return len(_eliminate(rows, len(rows[0]))[1])
+        return []
+    return _eliminate(rows, len(rows[0]))[1]
+
+
+def mat_rank(rows: Matrix) -> int:
+    return len(pivot_columns(rows))
 
 
 def det(rows: Matrix) -> Fraction:

@@ -17,11 +17,10 @@ so third-party certificates can be validated bit for bit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .cube import is_sw_pair, vertex_bits
 from .guards import OMCP_SCAN_DIM, check
-from .om import NOT_A_BASIS, NotABasis
+from .om import NotABasis
 from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet, sign_product
 
 

@@ -111,13 +111,34 @@ def is_generic(matrix: RationalMatrix) -> bool:
     """Every row-count-sized column subset is nonsingular (uniform realization).
 
     Each column's denominators are cleared once; a positive column scaling
-    cannot make a minor vanish, so the minors are taken on integers.
+    cannot make a minor vanish, so the work is on integers.  B is the first
+    r independent columns, as elimination finds them, and T = D * B^-1 A
+    its integer tableau on the m - r other columns, from one
+    ``linalg.invert``.  An r-subset S is a basis iff the k x k minor of T
+    on the rows of B - S and the columns of S - B is non-zero, k = |S - B|:
+    by Cramer's rule that minor is +-D^(k-1) det A_S.  So the entries of T
+    settle k = 1, and each k >= 2 takes one ``linalg.det`` per k x k minor,
+    C(r, k) C(m - r, k) of them: C(m, r) - 1 minors in all, instead of
+    C(m, r) determinants of size r.  Stops at the first zero.
     """
-    r = matrix.rows
-    cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(matrix.cols)]
-    for combo in itertools.combinations(range(matrix.cols), r):
-        if linalg.det([[cols[j][i] for j in combo] for i in range(r)]) == 0:
-            return False
+    r, m = matrix.rows, matrix.cols
+    if m < r:
+        return True
+    cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(m)]
+    rows = [[col[i] for col in cols] for i in range(r)]
+    basis = linalg.pivot_columns(rows)
+    if len(basis) < r:
+        return False
+    _, inv = linalg.invert([[row[j] for j in basis] for row in rows])
+    rest = [col for j, col in enumerate(cols) if j not in basis]
+    t = [[sum(map(operator.mul, inv_row, col)) for col in rest] for inv_row in inv]
+    if any(0 in row for row in t):
+        return False
+    for k in range(2, min(r, m - r) + 1):
+        for ii in itertools.combinations(t, k):
+            for jj in itertools.combinations(range(m - r), k):
+                if linalg.det([[row[j] for j in jj] for row in ii]) == 0:
+                    return False
     return True
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from omcp import linalg
 from omcp.om import ExplicitOM
 from omcp.signs import GroundSet
 
@@ -42,3 +43,18 @@ def ext(ground1q):
 @pytest.fixture(scope="session")
 def ext_degenerate(ground1q):
     return ExplicitOM.from_encoded(ground1q, EXT_DEGENERATE_CIRCUITS)
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """Results of every linalg.invert call, True where the matrix was singular."""
+    calls = []
+    original = linalg.invert
+
+    def counting(rows):
+        result = original(rows)
+        calls.append(result is None)
+        return result
+
+    monkeypatch.setattr(linalg, "invert", counting)
+    return calls

@@ -149,7 +149,7 @@ def test_adversary_rejects_non_uniform_base():
 
 def test_game_dimension_guard():
     # 7 pairs against the default guard of 6; the guard fires before the
-    # C(14, 7)-determinant uniformity scan.
+    # uniformity check, which reads C(14, 7) - 1 minors.
     m = random_p_matrix(7, random.Random(20))
     base = RealizedOM(hstack(RationalMatrix.identity(7), negated(m)), GroundSet.complementary(7))
     with pytest.raises(SizeGuardError):

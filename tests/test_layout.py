@@ -8,6 +8,7 @@ drops one of those names fails here.  Library code must not rely on
 environment: its ``OMCP_GUARD_OVERRIDE`` is the package's one setting
 outside the call arguments.  Only ``realize`` and ``plcp`` read a matrix
 through ``linalg``: every other module reaches a matrix through an oracle.
+Every name a library module imports is referenced in it.
 """
 
 import ast
@@ -111,3 +112,25 @@ def test_only_realize_and_plcp_import_linalg():
         if _imports_linalg(node)
     }
     assert importers == {"realize.py", "plcp.py"}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_package_imports_are_used():
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

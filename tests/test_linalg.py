@@ -99,6 +99,16 @@ def test_rank_matches_largest_nonzero_minor(a):
 
 @settings(max_examples=200, deadline=None)
 @given(rectangular_matrices())
+def test_pivot_columns_are_the_first_independent_columns(a):
+    greedy = [
+        j for j in range(len(a[0]))
+        if minor_rank([row[: j + 1] for row in a]) > minor_rank([row[:j] for row in a])
+    ]
+    assert linalg.pivot_columns(a) == greedy
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_matrices())
 def test_kernel_vector_of_columns_is_in_kernel(a):
     columns = [list(col) for col in zip(*a)]
     x = linalg.kernel_vector_of_columns(columns)

@@ -6,7 +6,9 @@ increasing size, each minimal dependent one giving a circuit through its
 one-dimensional kernel.
 """
 
+import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from omcp import linalg
 from omcp.guards import MATRIX_COLUMNS, SizeGuardError, check
 from omcp.om import NOT_A_BASIS, ExplicitOM, NotABasis, check_circuit_axioms
+from omcp.plcp import random_p_matrix
 from omcp.realize import (
     RationalMatrix,
     RealizedOM,
@@ -145,6 +148,71 @@ def test_is_generic():
     assert not is_generic(hstack(RationalMatrix.identity(2), negated(RationalMatrix.identity(2))))
     repeated = RationalMatrix.from_rows([[1, 1], [2, 2]])
     assert not is_generic(repeated)
+
+
+def reference_is_generic(matrix: RationalMatrix) -> bool:
+    """The scan ``is_generic`` replaced: one r x r determinant per r-subset
+    of the m columns, C(m, r) in all; vacuously True when m < r."""
+    r = matrix.rows
+    return all(
+        linalg.det([[row[j] for j in combo] for row in matrix.entries]) != 0
+        for combo in itertools.combinations(range(matrix.cols), r)
+    )
+
+
+def random_matrix(rng: random.Random) -> tuple[str, RationalMatrix]:
+    """A rational matrix with 1-4 rows and 1-8 columns, of one of four kinds:
+    plain entries (zeros and mixed denominators among them), a row that is
+    a multiple of another, a zero column, or a column repeated up to a
+    non-zero factor."""
+    r, m = rng.randint(1, 4), rng.randint(1, 8)
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)] for _ in range(r)]
+    kind = rng.choice(["plain", "dependent row", "zero column", "repeated column"])
+    if kind == "dependent row" and r > 1:
+        a, b = rng.sample(range(r), 2)
+        rows[b] = [Fraction(rng.randint(-2, 2), 2) * v for v in rows[a]]
+    elif kind == "zero column":
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = Fraction(0)
+    elif kind == "repeated column" and m > 1:
+        a, b = rng.sample(range(m), 2)
+        factor = rng.choice([Fraction(1), Fraction(-1), Fraction(3, 2)])
+        for row in rows:
+            row[b] = factor * row[a]
+    return kind, RationalMatrix(tuple(tuple(row) for row in rows))
+
+
+def test_is_generic_matches_the_determinant_scan():
+    rng = random.Random(11)
+    seen = collections.Counter()
+    for _ in range(5000):
+        kind, matrix = random_matrix(rng)
+        expected = reference_is_generic(matrix)
+        assert is_generic(matrix) == expected, matrix.entries
+        wide = "wide" if matrix.cols >= matrix.rows else "narrow"
+        seen[kind, wide, expected] += 1
+    # Every kind is met as a non-generic wide matrix and as a narrow one
+    # (cols < rows), which is vacuously generic.
+    kinds = ["plain", "dependent row", "zero column", "repeated column"]
+    assert all(seen[kind, "wide", False] and seen[kind, "narrow", True] for kind in kinds)
+    assert seen["plain", "wide", True] > 0
+
+
+def test_is_generic_factors_one_basis(invert_calls, monkeypatch):
+    m = random_p_matrix(6, random.Random(0))
+    sizes = collections.Counter()
+    original = linalg.det
+
+    def counting(rows):
+        sizes[len(rows)] += 1
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "det", counting)
+    assert is_generic(hstack(RationalMatrix.identity(6), negated(m)))
+    assert invert_calls == [False]
+    # C(6, k)^2 minors of each size k >= 2; the 36 of size 1 are entries.
+    assert sizes == {k: math.comb(6, k) ** 2 for k in range(2, 7)}
 
 
 def test_size_guard():

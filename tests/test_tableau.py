@@ -122,21 +122,6 @@ def test_materialize_matches_per_vertex_reference(instance, partial):
     assert (kind, value) == expected
 
 
-@pytest.fixture
-def invert_calls(monkeypatch):
-    """Results of every linalg.invert call, True where the matrix was singular."""
-    calls = []
-    original = linalg.invert
-
-    def counting(rows):
-        result = original(rows)
-        calls.append(result is None)
-        return result
-
-    monkeypatch.setattr(linalg, "invert", counting)
-    return calls
-
-
 def test_gray_walk_factors_one_basis(invert_calls):
     rng = random.Random(8)
     m = random_p_matrix(8, rng)
