@@ -6,9 +6,12 @@ An orientation maps each vertex to its outmap, a tuple of half-edge signs:
 +1 for outgoing, -1 for incoming, 0 for an unoriented (degenerate)
 half-edge in the partial case.  Outmaps are the only stored and public
 form.  The pair conditions and the downward rule run on two bit masks per
-outmap, outgoing and unoriented, in vertex bit order; those masks are
-derived inside this module only.  Orientations are either dense tables or
-pure query oracles; both are immutable after construction.
+outmap, outgoing and unoriented, in vertex bit order.  The USO definition
+check runs on one 2^n-bit set of vertices per dimension, the vertices
+whose edge in that dimension comes in, permuted by block swaps.  Both
+kinds of mask are derived inside this module only.  Orientations are
+either dense tables or pure query oracles; both are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -272,33 +275,40 @@ def find_sw_violation(o: Orientation) -> tuple[int, int] | None:
     return _first_pair(masks, _agree)
 
 
-def _face_iter(n: int):
-    for pattern in itertools.product((0, 1, 2), repeat=n):
-        yield pattern  # 2 marks a spanned dimension
-
-
 def is_uso_exhaustive(o: Orientation) -> bool:
-    """Definition check: every non-empty subcube has exactly one sink."""
+    """Definition check: every non-empty subcube has exactly one sink.
+
+    Bit v of ``incoming[b]`` marks that the edge of vertex v along vertex
+    bit b (dimension n - 1 - b) comes in.  For a non-empty set D of vertex
+    bits, their AND marks the vertices that are sinks of their D-face.
+    Folding it through the block swaps v -> v ^ 2^b, b in D, gives per
+    vertex whether its D-face holds at least one sink and at least two.
+    The orientation is a USO iff for every D the first is full and the
+    second empty.
+    """
     n = o.n
     check(n, USO_EXHAUSTIVE_DIM, "cube dimension")
-    maps = [o.outmap(v) for v in o.vertices()]
-    for pattern in _face_iter(n):
-        spanned = [i for i, p in enumerate(pattern) if p == 2]
-        base = 0
-        for i, p in enumerate(pattern):
-            if p == 1:
-                base |= 1 << (n - 1 - i)
-        sinks = 0
-        for bits in itertools.product((0, 1), repeat=len(spanned)):
-            v = base
-            for d, b in zip(spanned, bits):
-                if b:
-                    v |= 1 << (n - 1 - d)
-            if all(maps[v][i] == MINUS for i in spanned):
-                sinks += 1
-                if sinks > 1:
-                    return False
-        if sinks != 1:
+    size = 1 << n
+    full = (1 << size) - 1
+    incoming = [0] * n
+    for v in o.vertices():
+        for i, s in enumerate(o.outmap(v)):
+            if s == MINUS:
+                incoming[n - 1 - i] |= 1 << v
+    # low[b]: the vertices whose bit b is 0, runs of 2^b ones and zeros
+    low = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
+    for dims in range(1, 1 << n):
+        bits = [b for b in range(n) if dims >> b & 1]
+        one = full
+        for b in bits:
+            one &= incoming[b]
+        two = 0
+        for b in bits:
+            shift, m = 1 << b, low[b]
+            swapped = (one >> shift) & m | (one & m) << shift
+            two |= (two >> shift) & m | (two & m) << shift | one & swapped
+            one |= swapped
+        if one != full or two:
             return False
     return True
 
@@ -464,9 +474,9 @@ def sink_find(algo, o: Orientation) -> tuple[int, int]:
 
 
 def enumerate_usos(n: int) -> list[Orientation]:
-    """All USOs of the n-cube from edge-direction brute force (n <= 3)."""
-    if n > 3:
-        raise ValueError("enumeration is limited to n <= 3")
+    """All USOs of the n-cube from edge-direction brute force (0 <= n <= 3)."""
+    if not 0 <= n <= 3:
+        raise ValueError(f"enumeration needs n in 0..3, got n={n}")
     edges = [
         (v, i)
         for v in range(1 << n)

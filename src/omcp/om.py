@@ -128,12 +128,21 @@ class ExplicitOM:
         return self.circuits
 
     @cached_property
-    def _sorted_circuits(self) -> tuple[SignedSet, ...]:
-        return tuple(sorted(self.circuits, key=lambda c: c.encode()))
-
-    @cached_property
-    def _support_masks(self) -> tuple[int, ...]:
-        return tuple(c.support_mask for c in self._sorted_circuits)
+    def _circuit_masks(self) -> tuple[tuple[int, int, SignedSet], ...]:
+        """``(pos_mask, support_mask, circuit)`` for every circuit, bit k
+        standing for ground element k."""
+        result = []
+        for c in self.circuits:
+            pos = support = 0
+            bit = 1
+            for s in c.signs:
+                if s:
+                    support |= bit
+                    if s == PLUS:
+                        pos |= bit
+                bit <<= 1
+            result.append((pos, support, c))
+        return tuple(result)
 
     def _mask(self, names: Iterable[str]) -> int:
         m = 0
@@ -143,7 +152,7 @@ class ExplicitOM:
 
     def is_independent(self, subset: Iterable[str]) -> bool:
         m = self._mask(subset)
-        return not any(sm & ~m == 0 for sm in self._support_masks)
+        return not any(sm & ~m == 0 for _, sm, _ in self._circuit_masks)
 
     @cached_property
     def rank(self) -> int:
@@ -152,7 +161,7 @@ class ExplicitOM:
         size = 0
         for k in range(self.ground.size):
             candidate = current | (1 << k)
-            if not any(sm & ~candidate == 0 for sm in self._support_masks):
+            if not any(sm & ~candidate == 0 for _, sm, _ in self._circuit_masks):
                 current = candidate
                 size += 1
         return size
@@ -191,20 +200,33 @@ class ExplicitOM:
         return ExplicitOM(self.ground, self.cocircuits())
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """Circuit-oracle protocol: NotABasis, or the fundamental circuit C(B, e)."""
+        """Circuit-oracle protocol: NotABasis, or the fundamental circuit C(B, e).
+
+        One pass over the circuit masks decides both.  A set of the rank's
+        size is a basis iff no circuit support lies inside it, and C(B, e)
+        is the circuit positive at e whose support lies in B + e.  NotABasis
+        takes precedence over the errors for a circuit set that is no
+        matroid, so the pass finishes before either is raised.
+        """
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
-        self.ground.index(e)
-        if not self.is_basis(names):
+        e_bit = 1 << self.ground.index(e)
+        if len(names) != self.rank:
             return NOT_A_BASIS
-        allowed = self._mask(names) | (1 << self.ground.index(e))
+        b_mask = self._mask(names)
         found = None
-        for c in self._sorted_circuits:
-            if c.sign_of(e) == PLUS and c.support_mask & ~allowed == 0:
+        unique = True
+        for pos, support, c in self._circuit_masks:
+            outside = support & ~b_mask
+            if not outside:
+                return NOT_A_BASIS
+            if outside == e_bit and pos & e_bit:
                 if found is not None:
-                    raise ValueError("fundamental circuit is not unique; not a matroid")
+                    unique = False
                 found = c
+        if not unique:
+            raise ValueError("fundamental circuit is not unique; not a matroid")
         if found is None:
             raise ValueError("no fundamental circuit found; circuit set is not a matroid")
         return found

@@ -175,7 +175,10 @@ class RealizedOM:
     games, their transcript checks and degeneracy scans revisit bases in
     vertex order, and walking there anew costs many times the pivots.
     The circuit and cocircuit sets are read off the tableaux of all
-    bases, which one walk visits in lexicographic order without caching.
+    bases, which one walk visits in lexicographic order without caching;
+    a circuit recurs at every basis that contains its support minus one
+    element, so each is kept once, as a sign tuple, before it becomes a
+    SignedSet.
     """
 
     matrix: RationalMatrix
@@ -277,13 +280,17 @@ class RealizedOM:
         signs = [pos if v > 0 else (neg if v < 0 else ZERO) for v in x]
         return SignedSet(self.ground, tuple(signs))
 
-    def _circuit(self, js: list[int], d: int, t: list[list[int]], e: int) -> SignedSet:
-        """C(B, e) from column e of the tableau: -(B^-1 a_e) on B and + at e."""
-        x = [0] * self.ground.size
-        x[e] = d
+    def _circuit_signs(self, js: list[int], d: int, t: list[list[int]], e: int) -> tuple[int, ...]:
+        """The signs of C(B, e), sign(D) times -(column e of T) on B and D at
+        e: + at e, and -sign(D) * sign(T[k][e]) at the basis column of row k."""
+        above, below = (MINUS, PLUS) if d > 0 else (PLUS, MINUS)
+        x = [ZERO] * self.ground.size
+        x[e] = PLUS
         for j, row in zip(js, t):
-            x[j] = -row[e]
-        return self._signed(d, x)
+            v = row[e]
+            if v:
+                x[j] = above if v > 0 else below
+        return tuple(x)
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._tableau(frozenset(subset)) is not None
@@ -308,7 +315,7 @@ class RealizedOM:
         entry = self._tableau(names)
         if entry is None:
             return NOT_A_BASIS
-        return self._circuit(*entry, j_e)
+        return SignedSet(self.ground, self._circuit_signs(*entry, j_e))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -348,12 +355,17 @@ class RealizedOM:
 
     @cached_property
     def _explicit(self) -> ExplicitOM:
-        """Every C(B, e) with e outside a basis B, and its negation."""
+        """Every C(B, e) with e outside a basis B, and its negation.
+
+        Each C(B, e) is read as a sign tuple, and one SignedSet is built per
+        distinct tuple and per negation.
+        """
         check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
         found = {
-            self._circuit(js, d, t, e)
+            self._circuit_signs(js, d, t, e)
             for js, d, t in self._all_tableaux()
             for e in range(self.matrix.cols)
             if e not in js
         }
-        return ExplicitOM(self.ground, frozenset(found | {c.negate() for c in found}))
+        found.update([tuple([-s for s in x]) for x in found])
+        return ExplicitOM(self.ground, frozenset(SignedSet(self.ground, x) for x in found))

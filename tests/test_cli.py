@@ -148,6 +148,14 @@ def test_uso_commands(tmp_path, capsys):
     assert code == 0 and report == {"n": 2, "count": 12}
 
 
+@pytest.mark.parametrize("n", ["-1", "4"])
+def test_uso_enumerate_rejects_n_outside_range(capsys, n):
+    assert main(["uso", "enumerate", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: enumeration needs n in 0..3, got n={n}\n"
+
+
 def test_uso_emit_dot(tmp_path, capsys):
     uso = write(tmp_path, "uso.json", {"n": 1, "outmaps": ["+", "-"]})
     dot_path = str(tmp_path / "o.dot")

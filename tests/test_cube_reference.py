@@ -6,7 +6,12 @@ compare outmaps one sign at a time, so they share no code with
 n = 4: independent signs per half-edge, edge-consistent orientations, and
 mirrored all-down orientations with one face left unoriented (these are
 partially Szabo-Welzl, so the downward completion succeeds on them).
+Random tables are almost never USOs, so the USO check is also compared on
+every table of the 1- and 2-cube, on every edge orientation of the 3-cube
+(its 744 USOs among them) and on each 3-cube USO with one edge reversed.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from omcp.cube import (
     complete_downward,
     find_sw_violation,
     is_partially_sw,
+    is_uso_exhaustive,
     mirrored_down_orientation,
 )
 from omcp.pmatroid import UV1, verify_uv1
@@ -60,6 +66,54 @@ def ref_downward(maps, n):
         tuple(s if s != 0 else (1 if bit else -1) for s, bit in zip(row, ref_bits(v, n)))
         for v, row in enumerate(maps)
     ]
+
+
+def ref_face_iter(n):
+    for pattern in itertools.product((0, 1, 2), repeat=n):
+        yield pattern  # 2 marks a spanned dimension
+
+
+def ref_is_uso(maps, n):
+    """Every face, spanned dimensions fixed by a 0/1/2 pattern, has exactly one
+    vertex whose outmap is -1 on all of them."""
+    for pattern in ref_face_iter(n):
+        spanned = [i for i, p in enumerate(pattern) if p == 2]
+        base = 0
+        for i, p in enumerate(pattern):
+            if p == 1:
+                base |= 1 << (n - 1 - i)
+        sinks = 0
+        for bits in itertools.product((0, 1), repeat=len(spanned)):
+            v = base
+            for d, b in zip(spanned, bits):
+                if b:
+                    v |= 1 << (n - 1 - d)
+            if all(maps[v][i] == -1 for i in spanned):
+                sinks += 1
+                if sinks > 1:
+                    return False
+        if sinks != 1:
+            return False
+    return True
+
+
+def ref_edges(n):
+    """Each edge once, as (lower vertex, dimension, upper vertex)."""
+    return [
+        (v, i, v | (1 << (n - 1 - i)))
+        for v in range(1 << n)
+        for i in range(n)
+        if not ref_bits(v, n)[i]
+    ]
+
+
+def ref_edge_table(n, upward):
+    """The total orientation whose k-th edge of ``ref_edges`` points up iff bit k is set."""
+    table = [[0] * n for _ in range(1 << n)]
+    for k, (v, i, w) in enumerate(ref_edges(n)):
+        s = 1 if upward >> k & 1 else -1
+        table[v][i], table[w][i] = s, -s
+    return [tuple(r) for r in table]
 
 
 @st.composite
@@ -156,3 +210,41 @@ def test_complete_downward_matches_reference(case):
     else:
         completed = complete_downward(o)
         assert [completed.outmap(v) for v in o.vertices()] == ref_downward(maps, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_is_uso_matches_reference_on_every_small_table(n):
+    rows = list(itertools.product((-1, 0, 1), repeat=n))
+    for maps in itertools.product(rows, repeat=1 << n):
+        assert is_uso_exhaustive(Orientation(n, table=maps)) == ref_is_uso(maps, n), maps
+
+
+def test_is_uso_matches_reference_on_the_3_cube():
+    usos = []
+    for upward in range(1 << len(ref_edges(3))):
+        maps = ref_edge_table(3, upward)
+        uso = ref_is_uso(maps, 3)
+        assert is_uso_exhaustive(Orientation(3, table=maps)) == uso, maps
+        if uso:
+            usos.append(upward)
+    assert len(usos) == 744
+    for upward in usos:
+        for k in range(len(ref_edges(3))):
+            maps = ref_edge_table(3, upward ^ 1 << k)
+            assert is_uso_exhaustive(Orientation(3, table=maps)) == ref_is_uso(maps, 3), maps
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_uso_matches_reference_on_mirrored_down(n):
+    for r in range(n + 1):
+        for flips in itertools.combinations(range(n), r):
+            o = mirrored_down_orientation(n, flips)
+            maps = [o.outmap(v) for v in o.vertices()]
+            assert ref_is_uso(maps, n) and is_uso_exhaustive(o)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(TOTAL, PARTIAL))
+def test_is_uso_matches_reference_on_random_tables(case):
+    n, maps = case
+    assert is_uso_exhaustive(Orientation(n, table=maps)) == ref_is_uso(maps, n)
