@@ -114,6 +114,7 @@ def run_game(algo, state: AdversaryState) -> GameResult:
 
 def random_uniform_base(n: int, rng: random.Random) -> RealizedOM:
     """Generic realization [I; -M] of a random P-matrix; uniformity checked."""
+    check(n, GAME_DIM, "game dimension")  # before any draw: each reads C(2n, n) minors
     for _ in range(64):
         m = random_p_matrix(n, rng)
         base = RealizedOM(

@@ -5,13 +5,14 @@ bit = dimension 0) matches the serialized vertex order 00, 01, 10, 11, ...
 An orientation maps each vertex to its outmap, a tuple of half-edge signs:
 +1 for outgoing, -1 for incoming, 0 for an unoriented (degenerate)
 half-edge in the partial case.  Outmaps are the only stored and public
-form.  The pair conditions and the downward rule run on two bit masks per
-outmap, outgoing and unoriented, in vertex bit order.  The USO definition
-check runs on one 2^n-bit set of vertices per dimension, the vertices
-whose edge in that dimension comes in, permuted by block swaps.  Both
-kinds of mask are derived inside this module only.  Orientations are
-either dense tables or pure query oracles; both are immutable after
-construction.
+form.  The downward rule and the pair test run on two bit masks per
+outmap, outgoing and unoriented, in vertex bit order.  The Szabo-Welzl,
+partial and USO checks are one fold over two 2^n-bit vertex sets per
+dimension, outgoing and unoriented, permuted by block swaps.  The USO
+check shares it because a sign table has one sink in every face iff no
+pair fails the Szabo-Welzl condition (Szabo & Welzl, FOCS 2001).  Masks
+are derived inside this module only.  Orientations are either dense
+tables or pure query oracles; both are immutable after construction.
 """
 
 from __future__ import annotations
@@ -65,32 +66,10 @@ def downward_outmap(v: int, out: Sequence[int]) -> tuple[int, ...]:
     return tuple(PLUS if vertex_bit(down, i, n) else MINUS for i in range(n))
 
 
-def _agree(d: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Szabo-Welzl pair test: the outmaps are equal on every dimension of d."""
-    return d & ((a[0] ^ b[0]) | (a[1] ^ b[1])) == 0
-
-
-def _settled(d: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Partial test: span d is unoriented at both ends, or split somewhere."""
-    unoriented = d & a[1] & b[1] == d
-    split = d & (a[0] ^ b[0]) & ~(a[1] | b[1]) != 0
-    return unoriented or split
-
-
 def is_sw_pair(v: int, w: int, out_v: Sequence[int], out_w: Sequence[int]) -> bool:
     """v != w and the outmaps agree on every dimension where v and w differ (UV1)."""
-    return v != w and _agree(v ^ w, _masks(out_v), _masks(out_w))
-
-
-def _first_pair(
-    masks: list[tuple[int, int]], bad: Callable[[int, tuple, tuple], bool]
-) -> tuple[int, int] | None:
-    """First pair v < w, in that order, with ``bad(v ^ w, masks[v], masks[w])``."""
-    for v, a in enumerate(masks):
-        for w in range(v + 1, len(masks)):
-            if bad(v ^ w, a, masks[w]):
-                return v, w
-    return None
+    (plus_v, zero_v), (plus_w, zero_w) = _masks(out_v), _masks(out_w)
+    return v != w and (v ^ w) & ((plus_v ^ plus_w) | (zero_v ^ zero_w)) == 0
 
 
 def vertex_name(v: int, n: int) -> str:
@@ -263,60 +242,82 @@ class Face:
         return project(v, sorted(self.spanned), self.n)
 
 
+def _vertex_sets(o: Orientation) -> tuple[list[int], list[int]]:
+    """Per vertex bit, the vertices whose half-edge is outgoing, and unoriented."""
+    n = o.n
+    plus, zero = [0] * n, [0] * n
+    for v in o.vertices():
+        for i, s in enumerate(o.outmap(v)):
+            if s == PLUS:
+                plus[n - 1 - i] |= 1 << v
+            elif s == ZERO:
+                zero[n - 1 - i] |= 1 << v
+    return plus, zero
+
+
+def _sw_pairs(n: int, plus: list[int], zero: list[int]) -> Iterator[tuple[int, int]]:
+    """The first failing pair (v, v ^ d) at each difference d != 0 that has one.
+
+    v fails at d when v and v ^ d are not both unoriented on all of d and no
+    dimension of d has both ends oriented and opposite: with no unoriented
+    half-edge, the Szabo-Welzl pair condition.  The failing set is closed
+    under v -> v ^ d, so its least v has v < v ^ d.  d walks the Gray code,
+    and the sets permuted by v -> v ^ d follow by one block swap per step.
+    """
+    full = (1 << (1 << n)) - 1
+    # low[b]: the vertices whose bit b is 0, runs of 2^b ones and zeros
+    low = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
+    partial = any(zero)
+    # moved[c] and moved[n + c]: plus[c] and zero[c] permuted by v -> v ^ d
+    moved = plus + zero if partial else plus
+    d = 0
+    for k in range(1, 1 << n):
+        b = (k & -k).bit_length() - 1
+        d ^= 1 << b
+        shift, m = 1 << b, low[b]
+        moved = [(x >> shift) & m | (x & m) << shift for x in moved]
+        unoriented, split = (full if partial else 0), 0
+        for c in range(n):
+            if d >> c & 1:
+                differ = plus[c] ^ moved[c]
+                if partial:
+                    unoriented &= zero[c] & moved[n + c]
+                    differ &= ~(zero[c] | moved[n + c])
+                split |= differ
+        failing = full & ~(unoriented | split)
+        if failing:
+            v = (failing & -failing).bit_length() - 1
+            yield v, v ^ d
+
+
 def find_sw_violation(o: Orientation) -> tuple[int, int] | None:
     """Pair v != w agreeing on every spanned half-edge direction, else None.
 
-    The returned pair is exactly the UV1 witness shape; None means the
-    orientation satisfies the pairwise condition equivalent to being a USO.
+    The returned pair is the UV1 witness shape: the least such pair v < w,
+    the least of the first pairs per difference.  None means the orientation
+    satisfies the pairwise condition equivalent to being a USO.
     """
-    masks = [_masks(o.outmap(v)) for v in o.vertices()]
-    if any(zero for _, zero in masks):
+    plus, zero = _vertex_sets(o)
+    if any(zero):
         raise ValueError("total orientation required")
-    return _first_pair(masks, _agree)
+    return min(_sw_pairs(o.n, plus, zero), default=None)
 
 
 def is_uso_exhaustive(o: Orientation) -> bool:
     """Definition check: every non-empty subcube has exactly one sink.
 
-    Bit v of ``incoming[b]`` marks that the edge of vertex v along vertex
-    bit b (dimension n - 1 - b) comes in.  For a non-empty set D of vertex
-    bits, their AND marks the vertices that are sinks of their D-face.
-    Folding it through the block swaps v -> v ^ 2^b, b in D, gives per
-    vertex whether its D-face holds at least one sink and at least two.
-    The orientation is a USO iff for every D the first is full and the
-    second empty.
+    That holds iff no pair fails the Szabo-Welzl condition once half-edges
+    that do not come in count as outgoing; the fold stops at a failure.
     """
-    n = o.n
-    check(n, USO_EXHAUSTIVE_DIM, "cube dimension")
-    size = 1 << n
-    full = (1 << size) - 1
-    incoming = [0] * n
-    for v in o.vertices():
-        for i, s in enumerate(o.outmap(v)):
-            if s == MINUS:
-                incoming[n - 1 - i] |= 1 << v
-    # low[b]: the vertices whose bit b is 0, runs of 2^b ones and zeros
-    low = [full // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1) for b in range(n)]
-    for dims in range(1, 1 << n):
-        bits = [b for b in range(n) if dims >> b & 1]
-        one = full
-        for b in bits:
-            one &= incoming[b]
-        two = 0
-        for b in bits:
-            shift, m = 1 << b, low[b]
-            swapped = (one >> shift) & m | (one & m) << shift
-            two |= (two >> shift) & m | (two & m) << shift | one & swapped
-            one |= swapped
-        if one != full or two:
-            return False
-    return True
+    check(o.n, USO_EXHAUSTIVE_DIM, "cube dimension")
+    plus, zero = _vertex_sets(o)
+    outgoing = [p | z for p, z in zip(plus, zero)]
+    return next(_sw_pairs(o.n, outgoing, [0] * o.n), None) is None
 
 
 def is_partially_sw(o: Orientation) -> tuple[bool, tuple[int, int] | None]:
     """Every pair is either fully unoriented across its span or split somewhere."""
-    masks = [_masks(o.outmap(v)) for v in o.vertices()]
-    witness = _first_pair(masks, lambda d, a, b: not _settled(d, a, b))
+    witness = min(_sw_pairs(o.n, *_vertex_sets(o)), default=None)
     return witness is None, witness
 
 
@@ -411,17 +412,16 @@ def holt_klee_value(o: Orientation) -> int:
     """
     import networkx as nx  # deferred: costs most of ``import omcp`` and only this needs it
 
+    n = o.n
+    if n == 0:
+        raise ValueError("Holt-Klee value needs n >= 1: a 0-cube's source is its sink")
     if not is_uso_exhaustive(o):
         raise ValueError("Holt-Klee value is defined for USOs")
-    n = o.n
     src, snk = source_vertex(o), sink_vertex(o)
     graph = nx.DiGraph()
 
-    def out_node(v: int):
-        return "s" if v == src else ("t" if v == snk else ("out", v))
-
-    def in_node(v: int):
-        return "s" if v == src else ("t" if v == snk else ("in", v))
+    def node(v: int, side: str):
+        return "s" if v == src else ("t" if v == snk else (side, v))
 
     for v in o.vertices():
         if v not in (src, snk):
@@ -429,7 +429,7 @@ def holt_klee_value(o: Orientation) -> int:
         for i, s in enumerate(o.outmap(v)):
             if s == PLUS:
                 w = flip_vertex(v, i, n)
-                graph.add_edge(out_node(v), in_node(w), capacity=1)
+                graph.add_edge(node(v, "out"), node(w, "in"), capacity=1)
     return nx.maximum_flow_value(graph, "s", "t")
 
 

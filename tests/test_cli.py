@@ -250,6 +250,7 @@ MALFORMED = [
     pytest.param(["om", "cocircuits"], {"ground": ["a", "b"], "circuits": 5}, id="cocircuits-int-circuits"),
     pytest.param(["uso", "solve", "--algo", "jump"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-jump-no-sink"),
     pytest.param(["uso", "solve", "--algo", "ordered-scan"], {"n": 1, "outmaps": ["+", "+"]}, id="uso-solve-ordered-scan-no-sink"),
+    pytest.param(["uso", "holt-klee"], {"outmaps": [""]}, id="holt-klee-0-cube"),
     pytest.param(["lcp", "orient"], {"M": I2, "q": [1]}, id="orient-short-q"),
     pytest.param(["lcp", "orient"], {"M": [[1, 0, 2], [0, 1, 3]], "q": [1, 1]}, id="orient-non-square-M"),
     pytest.param(["lcp", "orient"], {"M": I2, "q": [1, 1, 1]}, id="orient-long-q"),

@@ -3,12 +3,14 @@
 The references below read vertex coordinates from binary strings and
 compare outmaps one sign at a time, so they share no code with
 ``omcp.cube``.  Random tables cover total and partial orientations up to
-n = 4: independent signs per half-edge, edge-consistent orientations, and
-mirrored all-down orientations with one face left unoriented (these are
-partially Szabo-Welzl, so the downward completion succeeds on them).
-Random tables are almost never USOs, so the USO check is also compared on
-every table of the 1- and 2-cube, on every edge orientation of the 3-cube
-(its 744 USOs among them) and on each 3-cube USO with one edge reversed.
+n = 6, and up to n = 4 for the USO check under its guard: independent
+signs per half-edge, edge-consistent orientations, and mirrored all-down
+orientations with one face left unoriented (these are partially
+Szabo-Welzl, so the downward completion succeeds on them).  Both witness
+functions and the USO check are also compared on every table of the 1-
+and 2-cube.  Random tables are almost never USOs, so the USO check is
+also compared on every edge orientation of the 3-cube (its 744 USOs among
+them) and on each 3-cube USO with one edge reversed.
 """
 
 import itertools
@@ -117,15 +119,15 @@ def ref_edge_table(n, upward):
 
 
 @st.composite
-def free_tables(draw, signs):
-    n = draw(st.integers(1, 4))
+def free_tables(draw, signs, max_n):
+    n = draw(st.integers(1, max_n))
     row = st.tuples(*[st.sampled_from(signs)] * n)
     return n, draw(st.lists(row, min_size=1 << n, max_size=1 << n))
 
 
 @st.composite
-def edge_tables(draw, signs):
-    n = draw(st.integers(1, 4))
+def edge_tables(draw, signs, max_n):
+    n = draw(st.integers(1, max_n))
     table = [[0] * n for _ in range(1 << n)]
     for v in range(1 << n):
         for i in range(n):
@@ -137,8 +139,8 @@ def edge_tables(draw, signs):
 
 
 @st.composite
-def face_unoriented_tables(draw):
-    n = draw(st.integers(1, 4))
+def face_unoriented_tables(draw, max_n):
+    n = draw(st.integers(1, max_n))
     flips = draw(st.sets(st.integers(0, n - 1)))
     pattern = draw(st.lists(st.sampled_from("01*"), min_size=n, max_size=n))
     table = [list(r) for r in mirrored_down_orientation(n, flips).to_outmaps()]
@@ -153,10 +155,19 @@ def face_unoriented_tables(draw):
     return n, rows
 
 
-TOTAL = st.one_of(free_tables((-1, 1)), edge_tables((-1, 1)))
-PARTIAL = st.one_of(
-    free_tables((-1, 0, 1)), edge_tables((-1, 0, 1)), face_unoriented_tables()
-)
+def total_tables(max_n):
+    return st.one_of(free_tables((-1, 1), max_n), edge_tables((-1, 1), max_n))
+
+
+def partial_tables(max_n):
+    return st.one_of(
+        free_tables((-1, 0, 1), max_n),
+        edge_tables((-1, 0, 1), max_n),
+        face_unoriented_tables(max_n),
+    )
+
+
+TOTAL, PARTIAL = total_tables(6), partial_tables(6)
 
 
 @settings(max_examples=150, deadline=None)
@@ -213,6 +224,20 @@ def test_complete_downward_matches_reference(case):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
+def test_witnesses_match_reference_on_every_small_table(n):
+    rows = list(itertools.product((-1, 0, 1), repeat=n))
+    for maps in itertools.product(rows, repeat=1 << n):
+        o = Orientation(n, table=maps)
+        witness = ref_partial_witness(maps, n)
+        assert is_partially_sw(o) == (witness is None, witness), maps
+        if any(0 in row for row in maps):
+            with pytest.raises(ValueError):
+                find_sw_violation(o)
+        else:
+            assert find_sw_violation(o) == ref_find_sw_violation(maps, n), maps
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
 def test_is_uso_matches_reference_on_every_small_table(n):
     rows = list(itertools.product((-1, 0, 1), repeat=n))
     for maps in itertools.product(rows, repeat=1 << n):
@@ -244,7 +269,7 @@ def test_is_uso_matches_reference_on_mirrored_down(n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(TOTAL, PARTIAL))
+@given(st.one_of(total_tables(4), partial_tables(4)))
 def test_is_uso_matches_reference_on_random_tables(case):
     n, maps = case
     assert is_uso_exhaustive(Orientation(n, table=maps)) == ref_is_uso(maps, n)

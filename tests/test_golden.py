@@ -11,10 +11,14 @@ explicit base [I | -M] with M = [[2, 1], [-1, 3]] by the localizations
 ``--emit-uso`` output of the generic P-LCP ``lcp3_generic``.
 ``lcp2_two_singular`` has two singular complementary sets, {s2, t1} at
 vertex 10 and {t1, t2} at vertex 11; its cases also pin stderr, so the
-error names the least failing vertex in vertex order.  The
-expected outputs were recorded once and are never regenerated: any
-change to the exact arithmetic or to the reduction that alters a sign
-shows up here.
+error names the least failing vertex in vertex order.  ``uso6_nonp`` is a
+recursively combed USO of the 6-cube (each level joins two random USOs by
+parallel edges along its first dimension), drawn from ``random.Random(8)``,
+with the edge of vertex 011111 along dimension 0 reversed; its
+``uso check`` case pins a UV1 pair that differs in four dimensions,
+dimension 0 among them.  The expected outputs were recorded once and are
+never regenerated: any change to the exact arithmetic, to the reduction
+or to the pair check that alters a sign or a witness shows up here.
 """
 
 import contextlib

@@ -91,6 +91,14 @@ def test_exhaustive_scans_stop_at_the_guard(tmp_path, command):
     assert proc.stdout == ""
 
 
+def test_adversary_run_stops_at_the_game_guard():
+    env = {k: v for k, v in os.environ.items() if k != "OMCP_GUARD_OVERRIDE"}
+    proc = _cli(["adversary", "run", "--n", "8"], env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("size guard:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_override_lets_the_p_matrix_scan_run(tmp_path):
     proc = _cli(
         ["lcp", "check-p", _lcp_instance(tmp_path, 17, 0)],
