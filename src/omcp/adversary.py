@@ -23,14 +23,13 @@ import random
 from dataclasses import dataclass
 
 from .cube import (
-    ALGORITHMS,
-    CountingOracle,
     Face,
     Orientation,
     flip_vertex,
     holt_klee_value,
     is_uso_exhaustive,
     project,
+    sink_find,
     vertex_bit,
 )
 from .extend import ExtensionOM, LexAtom, Localization
@@ -99,17 +98,14 @@ class GameResult:
 
 def run_game(algo, state: AdversaryState) -> GameResult:
     """Play until the algorithm claims a sink; verify the claim and transcript."""
-    if isinstance(algo, str):
-        algo = ALGORITHMS[algo]
-    counter = CountingOracle(state.answer)
-    claimed = algo(counter, state.n)
+    claimed, count = sink_find(algo, Orientation(state.n, fn=state.answer))
     oracle = state.finalize()
     if any(s != MINUS for s in orient_vertex_total(oracle, claimed, state.n)):
         raise RuntimeError("algorithm claimed a vertex that is not the sink")
     for v, recorded in state.transcript:
         if orient_vertex_total(oracle, v, state.n) != recorded:
             raise RuntimeError("finalized instance contradicts the transcript")
-    return GameResult(counter.count, tuple(state.transcript), oracle, claimed)
+    return GameResult(count, tuple(state.transcript), oracle, claimed)
 
 
 def random_uniform_base(n: int, rng: random.Random) -> RealizedOM:

@@ -147,19 +147,11 @@ def cmd_om(args) -> int:
         _emit(certificate_to_json(cert))
         return 0 if isinstance(cert, pmatroid.M1) else 2
 
-    if args.om_command == "degeneracy":
-        oracle = _load_oracle(args.instance, validate=not args.no_validate)
-        n = oracle.ground.n_pairs
-        degenerate, witness = pmatroid.is_degenerate(oracle, n)
-        _emit(
-            {
-                "degenerate": degenerate,
-                "witness": sorted(witness) if witness else None,
-            }
-        )
-        return 0
-
-    raise ValueError(f"unknown om subcommand {args.om_command!r}")
+    # degeneracy, the only subcommand left
+    oracle = _load_oracle(args.instance, validate=not args.no_validate)
+    degenerate, witness = pmatroid.is_degenerate(oracle, oracle.ground.n_pairs)
+    _emit({"degenerate": degenerate, "witness": sorted(witness) if witness else None})
+    return 0
 
 
 # -- reduce ---------------------------------------------------------------
@@ -198,20 +190,16 @@ def cmd_reduce(args) -> int:
         _emit(report)
         return 0
 
-    if args.reduce_command == "back-map":
-        if args.sink is not None:
-            cert = reduction.map_back_sink(
-                oracle, cube.vertex_from_name(args.sink, n), n
-            )
-        else:
-            v, w = args.uv1
-            cert = reduction.map_back_uv1(
-                oracle, cube.vertex_from_name(v, n), cube.vertex_from_name(w, n), n
-            )
-        _emit(certificate_to_json(cert))
-        return 0 if isinstance(cert, pmatroid.M1) else 2
-
-    raise ValueError(f"unknown reduce subcommand {args.reduce_command!r}")
+    # back-map, the only subcommand left
+    if args.sink is not None:
+        cert = reduction.map_back_sink(oracle, cube.vertex_from_name(args.sink, n), n)
+    else:
+        v, w = args.uv1
+        cert = reduction.map_back_uv1(
+            oracle, cube.vertex_from_name(v, n), cube.vertex_from_name(w, n), n
+        )
+    _emit(certificate_to_json(cert))
+    return 0 if isinstance(cert, pmatroid.M1) else 2
 
 
 # -- uso ------------------------------------------------------------------
@@ -251,12 +239,10 @@ def cmd_uso(args) -> int:
         )
         return 0
 
-    if args.uso_command == "holt-klee":
-        value = cube.holt_klee_value(orientation)
-        _emit({"value": value, "holt_klee": value >= orientation.n})
-        return 0
-
-    raise ValueError(f"unknown uso subcommand {args.uso_command!r}")
+    # holt-klee, the only subcommand left
+    value = cube.holt_klee_value(orientation)
+    _emit({"value": value, "holt_klee": value >= orientation.n})
+    return 0
 
 
 # -- adversary ------------------------------------------------------------
@@ -316,19 +302,17 @@ def cmd_lcp(args) -> int:
         _emit(out)
         return 0
 
-    if args.lcp_command == "orient":
-        if args.q:
-            data["q"] = _read_json(args.q)["q"]
-        oracle = _lcp_oracle(data)
-        n = oracle.ground.n_pairs
-        orientation = reduction.klaus_orientation(oracle, n, partial=True).materialize()
-        report = {"n": n, "outmaps": orientation.to_outmaps()}
-        if args.total:
-            report["completed"] = cube.complete_downward(orientation).to_outmaps()
-        _emit(report)
-        return 0
-
-    raise ValueError(f"unknown lcp subcommand {args.lcp_command!r}")
+    # orient, the only subcommand left
+    if args.q:
+        data["q"] = _read_json(args.q)["q"]
+    oracle = _lcp_oracle(data)
+    n = oracle.ground.n_pairs
+    orientation = reduction.klaus_orientation(oracle, n, partial=True).materialize()
+    report = {"n": n, "outmaps": orientation.to_outmaps()}
+    if args.total:
+        report["completed"] = cube.complete_downward(orientation).to_outmaps()
+    _emit(report)
+    return 0
 
 
 # -- parser ---------------------------------------------------------------
@@ -422,7 +406,10 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except KeyError as exc:  # a required JSON field is absent
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 1
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

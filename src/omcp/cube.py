@@ -398,10 +398,7 @@ def source_vertex(o: Orientation) -> int:
 
 
 def sink_vertex(o: Orientation) -> int:
-    for v in o.vertices():
-        if all(s == MINUS for s in o.outmap(v)):
-            return v
-    raise ValueError("orientation has no sink")
+    return ordered_scan(o.outmap, o.n)
 
 
 def holt_klee_value(o: Orientation) -> int:

@@ -20,17 +20,7 @@ from typing import Iterable, Mapping
 
 from .guards import DUALITY_ELEMENTS, check
 from .om import NOT_A_BASIS, AxiomViolation, ExplicitOM, NotABasis, check_circuit_axioms
-from .signs import (
-    PLUS,
-    SIGNS,
-    ZERO,
-    GroundSet,
-    SignedSet,
-    char_sign,
-    sign_char,
-    sign_negate,
-    sign_product,
-)
+from .signs import PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char
 
 
 @dataclass(frozen=True)
@@ -73,7 +63,7 @@ class Localization:
 
     def evaluate(self, cocircuit: SignedSet) -> int:
         for atom in self.atoms:
-            v = sign_product(atom.sign, cocircuit.sign_of(atom.element))
+            v = atom.sign * cocircuit.sign_of(atom.element)
             if v != ZERO:
                 return v
         if self.table is not None:
@@ -178,7 +168,7 @@ class ExtensionOM:
             return NOT_A_BASIS
         signs = [ZERO] * (self.ground.size - 1) + [PLUS]
         for b, d in self.base.fundamental_cocircuits(names).items():
-            signs[self.ground.index(b)] = sign_negate(self.sigma.evaluate(d))
+            signs[self.ground.index(b)] = -self.sigma.evaluate(d)
         return SignedSet(self.ground, tuple(signs))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
@@ -230,11 +220,11 @@ def validate_localization(sigma: Localization) -> LocalizationValidation:
             w = sigma.evaluate(d.negate())
         except ValueError as exc:
             return LocalizationValidation(valid=False, reason=str(exc))
-        if w != sign_negate(v):
+        if w != -v:
             return LocalizationValidation(
                 valid=False,
                 reason=f"not sign-odd at {d.encode()}: "
-                f"sigma(-Y)={sign_char(w)} but -sigma(Y)={sign_char(sign_negate(v))}",
+                f"sigma(-Y)={sign_char(w)} but -sigma(Y)={sign_char(-v)}",
             )
     extension = materialize_extension(sigma)
     violation = check_circuit_axioms(extension.circuits, extension.ground)

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .guards import DUALITY_ELEMENTS, check
-from .signs import PLUS, ZERO, GroundSet, SignedSet, sign_negate
+from .signs import PLUS, ZERO, GroundSet, SignedSet
 
 
 class NotABasis:
@@ -72,25 +72,20 @@ def check_circuit_axioms(
         if c.is_zero:
             return AxiomViolation("C0", (c,))
 
-    present = set(circs)
-    for c in circs:
-        if c.negate() not in present:
+    masks = [(c.pos_mask, c.neg_mask) for c in circs]
+    present = set(masks)
+    for c, (p, n) in zip(circs, masks):
+        if (n, p) not in present:
             return AxiomViolation("C1", (c,))
 
-    masks = [(c.pos_mask, c.neg_mask) for c in circs]
-    supports = [p | n for p, n in masks]
-    for i, x in enumerate(circs):
-        for j, y in enumerate(circs):
-            if i == j:
-                continue
-            if supports[i] & ~supports[j] == 0 and x != y and x != y.negate():
-                return AxiomViolation("C2", (x, y))
+    for i, (xp, xn) in enumerate(masks):
+        for j, (yp, yn) in enumerate(masks):
+            if i != j and (xp | xn) & ~(yp | yn) == 0 and (xp, xn) != (yn, yp):
+                return AxiomViolation("C2", (circs[i], circs[j]))
 
-    for i, x in enumerate(circs):
-        xp, xn = masks[i]
-        for j, y in enumerate(circs):
-            yp, yn = masks[j]
-            if x == y.negate():
+    for i, (xp, xn) in enumerate(masks):
+        for j, (yp, yn) in enumerate(masks):
+            if (xp, xn) == (yn, yp):
                 continue
             elim = xp & yn
             if not elim:
@@ -105,7 +100,7 @@ def check_circuit_axioms(
                     zp & ~allowed_pos == 0 and zn & ~allowed_neg == 0
                     for zp, zn in masks
                 ):
-                    return AxiomViolation("C3", (x, y), name)
+                    return AxiomViolation("C3", (circs[i], circs[j]), name)
     return None
 
 
@@ -150,21 +145,20 @@ class ExplicitOM:
             m |= 1 << self.ground.index(name)
         return m
 
-    def is_independent(self, subset: Iterable[str]) -> bool:
-        m = self._mask(subset)
+    def _independent(self, m: int) -> bool:
         return not any(sm & ~m == 0 for _, sm, _ in self._circuit_masks)
+
+    def is_independent(self, subset: Iterable[str]) -> bool:
+        return self._independent(self._mask(subset))
 
     @cached_property
     def rank(self) -> int:
         # Greedy extension yields a basis in any matroid.
         current = 0
-        size = 0
         for k in range(self.ground.size):
-            candidate = current | (1 << k)
-            if not any(sm & ~candidate == 0 for _, sm, _ in self._circuit_masks):
-                current = candidate
-                size += 1
-        return size
+            if self._independent(current | (1 << k)):
+                current |= 1 << k
+        return current.bit_count()
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         names = set(subset)
@@ -191,7 +185,7 @@ class ExplicitOM:
         check(self.ground.size, DUALITY_ELEMENTS, "ground-set size")
         found: set[SignedSet] = set()
         for basis in self.bases():
-            for d in self._fundamental_cocircuits(basis, basis):
+            for d in self.fundamental_cocircuits(basis).values():
                 found.add(d)
                 found.add(d.negate())
         return frozenset(found)
@@ -239,35 +233,27 @@ class ExplicitOM:
         names = frozenset(basis)
         if e not in names:
             raise ValueError("fundamental cocircuits need an element of the basis")
-        if not self.is_basis(names):
-            raise ValueError("fundamental cocircuits are defined for bases only")
-        return self._fundamental_cocircuits(names, (e,))[0]
+        return self.fundamental_cocircuits(names)[e]
 
     def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
-        """C*(B, e) for every e in B; each C(B, f), f outside B, is queried once."""
+        """C*(B, e) for every e in B, by basis orthogonality: + at e, 0 on B
+        minus e, and -C(B, f)_e at each f outside B.  Each C(B, f) is queried
+        once and shared across the elements of B."""
         names = frozenset(basis)
         if not self.is_basis(names):
             raise ValueError("fundamental cocircuits are defined for bases only")
-        return dict(zip(names, self._fundamental_cocircuits(names, names)))
-
-    def _fundamental_cocircuits(
-        self, basis: frozenset[str], members: Iterable[str]
-    ) -> list[SignedSet]:
-        """C*(B, e) for each e in members, by basis orthogonality: + at e,
-        0 on B minus e, and -C(B, f)_e at each f outside B.  Each C(B, f) is
-        queried once and shared across the members."""
         outside = [
-            (k, self.query(basis, f))
+            (k, self.query(names, f))
             for k, f in enumerate(self.ground.elements)
-            if f not in basis
+            if f not in names
         ]
-        result = []
-        for e in members:
+        result = {}
+        for e in names:
             signs = [ZERO] * self.ground.size
             signs[self.ground.index(e)] = PLUS
             for k, c in outside:
-                signs[k] = sign_negate(c.sign_of(e))
-            result.append(SignedSet(self.ground, tuple(signs)))
+                signs[k] = -c.sign_of(e)
+            result[e] = SignedSet(self.ground, tuple(signs))
         return result
 
     def minor_delete(self, e: str) -> "ExplicitOM":

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cube import is_sw_pair, vertex_bits
+from .cube import is_sw_pair, vertex_bits, vertex_from_name, vertex_name
 from .guards import OMCP_SCAN_DIM, check
 from .om import NotABasis
-from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet, sign_product
+from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
 
 
 # -- certificates ---------------------------------------------------------
@@ -86,13 +86,9 @@ def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, MV3):
         return {"kind": "MV3", "X": cert.x.encode(), "Y": cert.y.encode()}
     if isinstance(cert, U1):
-        return {"kind": "U1", "vertex": format(cert.vertex, f"0{cert.n}b")}
+        return {"kind": "U1", "vertex": vertex_name(cert.vertex, cert.n)}
     if isinstance(cert, UV1):
-        return {
-            "kind": "UV1",
-            "v": format(cert.v, f"0{cert.n}b"),
-            "w": format(cert.w, f"0{cert.n}b"),
-        }
+        return {"kind": "UV1", "v": vertex_name(cert.v, cert.n), "w": vertex_name(cert.w, cert.n)}
     raise TypeError(f"not a certificate: {cert!r}")
 
 
@@ -110,9 +106,11 @@ def certificate_from_json(d: dict, ground: GroundSet | None = None) -> Certifica
             raise ValueError("circuit certificates need the instance ground set")
         return MV3(SignedSet.decode(ground, d["X"]), SignedSet.decode(ground, d["Y"]))
     if kind == "U1":
-        return U1(len(d["vertex"]), int(d["vertex"], 2))
+        n = len(d["vertex"])
+        return U1(n, vertex_from_name(d["vertex"], n))
     if kind == "UV1":
-        return UV1(len(d["v"]), int(d["v"], 2), int(d["w"], 2))
+        n = len(d["v"])
+        return UV1(n, vertex_from_name(d["v"], n), vertex_from_name(d["w"], n))
     raise ValueError(f"unknown certificate kind: {kind!r}")
 
 
@@ -190,6 +188,13 @@ def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
     return None
 
 
+def _is_complementary(c: SignedSet) -> bool:
+    """No complementary pair lies in the support of c."""
+    return not any(
+        c.sign_of(s) != ZERO and c.sign_of(t) != ZERO for s, t in c.ground.pairs
+    )
+
+
 def verify_mv3_pair(x: SignedSet, y: SignedSet) -> bool:
     """Pure MV3 condition on two signed sets (no oracle membership check)."""
     ground = x.ground
@@ -199,14 +204,11 @@ def verify_mv3_pair(x: SignedSet, y: SignedSet) -> bool:
         return False
     if x.sign_of(ground.q) != PLUS or y.sign_of(ground.q) != PLUS:
         return False
-    for s, t in ground.pairs:
-        for c in (x, y):
-            if c.sign_of(s) != ZERO and c.sign_of(t) != ZERO:
-                return False  # not complementary
+    if not (_is_complementary(x) and _is_complementary(y)):
+        return False
     for s, t in ground.pairs:
         zero_products = (
-            sign_product(x.sign_of(s), y.sign_of(t)) == ZERO
-            and sign_product(x.sign_of(t), y.sign_of(s)) == ZERO
+            x.sign_of(s) * y.sign_of(t) == ZERO and x.sign_of(t) * y.sign_of(s) == ZERO
         )
         matching = x.sign_of(s) == y.sign_of(t) and x.sign_of(t) == y.sign_of(s)
         if not (zero_products or matching):
@@ -263,11 +265,8 @@ def verify_m1(cert: M1, oracle) -> bool:
     ground: GroundSet = oracle.ground
     if c.ground != ground or ground.q is None:
         return False
-    if c.neg_mask != 0 or c.sign_of(ground.q) != PLUS:
+    if c.neg_mask != 0 or c.sign_of(ground.q) != PLUS or not _is_complementary(c):
         return False
-    for s, t in ground.pairs:
-        if c.sign_of(s) != ZERO and c.sign_of(t) != ZERO:
-            return False
     basis = _completion_basis(c)
     return oracle.query(basis, ground.q) == c
 
@@ -304,11 +303,11 @@ def verify_mv3(cert: MV3, oracle) -> bool:
 
 
 def verify_u1(cert: U1, orientation) -> bool:
-    return all(s == MINUS for s in orientation.outmap(cert.vertex))
+    return cert.n == orientation.n and all(s == MINUS for s in orientation.outmap(cert.vertex))
 
 
 def verify_uv1(cert: UV1, orientation) -> bool:
-    return is_sw_pair(
+    return cert.n == orientation.n and is_sw_pair(
         cert.v, cert.w, orientation.outmap(cert.v), orientation.outmap(cert.w)
     )
 

@@ -107,14 +107,25 @@ def circuits_from_matrix(matrix: RationalMatrix, ground: GroundSet) -> ExplicitO
     return RealizedOM(matrix, ground).to_explicit()
 
 
+def _integer_tableau(cols: list[list[int]], js: list[int]):
+    """``(d, t)`` with ``t = d * B^-1 A`` over all the integer columns
+    ``cols`` of A, B its square submatrix on the columns ``js``, from one
+    ``linalg.invert``; None when B is singular."""
+    inv = linalg.invert([[cols[j][i] for j in js] for i in range(len(js))])
+    if inv is None:
+        return None
+    d, rows = inv
+    return d, [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+
+
 def is_generic(matrix: RationalMatrix) -> bool:
     """Every row-count-sized column subset is nonsingular (uniform realization).
 
     Each column's denominators are cleared once; a positive column scaling
     cannot make a minor vanish, so the work is on integers.  B is the first
     r independent columns, as elimination finds them, and T = D * B^-1 A
-    its integer tableau on the m - r other columns, from one
-    ``linalg.invert``.  An r-subset S is a basis iff the k x k minor of T
+    its integer tableau, from one ``linalg.invert``, read on the m - r
+    other columns.  An r-subset S is a basis iff the k x k minor of T
     on the rows of B - S and the columns of S - B is non-zero, k = |S - B|:
     by Cramer's rule that minor is +-D^(k-1) det A_S.  So the entries of T
     settle k = 1, and each k >= 2 takes one ``linalg.det`` per k x k minor,
@@ -125,13 +136,11 @@ def is_generic(matrix: RationalMatrix) -> bool:
     if m < r:
         return True
     cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(m)]
-    rows = [[col[i] for col in cols] for i in range(r)]
-    basis = linalg.pivot_columns(rows)
+    basis = linalg.pivot_columns([[col[i] for col in cols] for i in range(r)])
     if len(basis) < r:
         return False
-    _, inv = linalg.invert([[row[j] for j in basis] for row in rows])
-    rest = [col for j, col in enumerate(cols) if j not in basis]
-    t = [[sum(map(operator.mul, inv_row, col)) for col in rest] for inv_row in inv]
+    rest = [j for j in range(m) if j not in basis]
+    t = [[row[j] for j in rest] for row in _integer_tableau(cols, basis)[1]]
     if any(0 in row for row in t):
         return False
     for k in range(2, min(r, m - r) + 1):
@@ -157,7 +166,6 @@ def omcp_from_plcp(m: RationalMatrix, q: Vector) -> ExplicitOM:
     return RealizedOM(plcp_matrix(m, q), ground).to_explicit()
 
 
-@dataclass(frozen=True, eq=False)
 class RealizedOM:
     """Circuit oracle backed by a rational realization.
 
@@ -181,31 +189,23 @@ class RealizedOM:
     SignedSet.
     """
 
-    matrix: RationalMatrix
-    ground: GroundSet
-
-    def __post_init__(self) -> None:
-        if self.matrix.cols != self.ground.size:
+    def __init__(self, matrix: RationalMatrix, ground: GroundSet):
+        if matrix.cols != ground.size:
             raise ValueError("column count does not match ground-set size")
-        cols = [linalg.integer_multiple(self.matrix.column(j))[1] for j in range(self.matrix.cols)]
-        rows = [[col[i] for col in cols] for i in range(self.matrix.rows)]
-        kept = list(range(self.matrix.rows))
-        if linalg.mat_rank(rows) < len(rows):
-            kept = []
-            for i in range(len(rows)):
-                if linalg.mat_rank([rows[k] for k in kept + [i]]) > len(kept):
-                    kept.append(i)
-        self.__dict__["_spanning"] = RationalMatrix(tuple(self.matrix.entries[i] for i in kept))
-        self.__dict__["_columns"] = tuple([col[i] for i in kept] for col in cols)
+        self.matrix = matrix
+        self.ground = ground
+        cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(matrix.cols)]
+        kept = list(range(matrix.rows))
+        if linalg.mat_rank([[col[i] for col in cols] for i in kept]) < len(kept):
+            kept = linalg.pivot_columns(cols)  # of the transpose: the first independent rows
+        self._spanning = RationalMatrix(tuple(matrix.entries[i] for i in kept))
+        self._columns = tuple([col[i] for i in kept] for col in cols)
+        self._basis_cache: dict = {}
+        self._last = None
 
     @property
     def rank(self) -> int:
         return self._spanning.rows
-
-    def _rows(self, js: Iterable[int]) -> list[list[int]]:
-        """Row-major integer submatrix on the columns ``js``."""
-        cols = [self._columns[j] for j in js]
-        return [[col[i] for col in cols] for i in range(self.rank)]
 
     def _column_indices(self, names: Iterable[str]) -> list[int]:
         return sorted(map(self.ground.index, names))
@@ -218,12 +218,12 @@ class RealizedOM:
         """
         if len(names) != self.rank:
             return None
-        cache = self.__dict__.setdefault("_basis_cache", {})
+        cache = self._basis_cache
         if names not in cache:
             cache[names] = self._walk(self._column_indices(names))
         entry = cache[names]
         if entry is not None:
-            self.__dict__["_last"] = entry
+            self._last = entry
         return entry
 
     def _walk(self, target: list[int]):
@@ -234,15 +234,10 @@ class RealizedOM:
         no such row: then c depends on columns that stay, so ``target`` is
         no basis.
         """
-        last = self.__dict__.get("_last")
-        if last is None:
-            inv = linalg.invert(self._rows(target))
-            if inv is None:
-                return None
-            d, rows = inv
-            cols = self._columns
-            return target, d, [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
-        js, d, t = last
+        if self._last is None:
+            first = _integer_tableau(self._columns, target)
+            return None if first is None else (target, *first)
+        js, d, t = self._last
         js = list(js)
         stays = set(target)
         for c in sorted(stays.difference(js)):
@@ -263,7 +258,7 @@ class RealizedOM:
         for target in itertools.combinations(range(self.matrix.cols), self.rank):
             entry = self._walk(list(target))
             if entry is not None:
-                self.__dict__["_last"] = entry
+                self._last = entry
                 yield entry
 
     def bases(self) -> Iterator[frozenset[str]]:
@@ -296,8 +291,8 @@ class RealizedOM:
         return self._tableau(frozenset(subset)) is not None
 
     def is_independent(self, subset: Iterable[str]) -> bool:
-        js = self._column_indices(subset)
-        return linalg.mat_rank(self._rows(js)) == len(js)
+        cols = [self._columns[j] for j in self._column_indices(subset)]
+        return linalg.mat_rank(cols) == len(cols)
 
     def is_uniform(self) -> bool:
         return self._uniform

@@ -1,9 +1,10 @@
 """Signed sets over named ground sets.
 
-Signs are the three values ``-1, 0, +1``; all sign arithmetic is table
-driven, never floating point.  A :class:`SignedSet` is a vector of signs
-indexed by the elements of a :class:`GroundSet` and is the carrier for
-circuits and cocircuits alike.  All values here are immutable.
+Signs are the three ints ``-1, 0, +1``, so sign arithmetic is integer
+arithmetic: ``-s`` negates and ``a * b`` multiplies, never floating
+point.  A :class:`SignedSet` is a vector of signs indexed by the
+elements of a :class:`GroundSet` and is the carrier for circuits and
+cocircuits alike.  All values here are immutable.
 """
 
 from __future__ import annotations
@@ -17,12 +18,6 @@ SIGNS = (MINUS, ZERO, PLUS)
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 _CHAR_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
-_NEGATE = {PLUS: MINUS, MINUS: PLUS, ZERO: ZERO}
-_PRODUCT = {
-    (a, b): (ZERO if a == ZERO or b == ZERO else (PLUS if a == b else MINUS))
-    for a in SIGNS
-    for b in SIGNS
-}
 
 
 def sign_char(s: int) -> str:
@@ -34,14 +29,6 @@ def char_sign(c: str) -> int:
         return _CHAR_SIGN[c]
     except KeyError:
         raise ValueError(f"not a sign character: {c!r}") from None
-
-
-def sign_negate(s: int) -> int:
-    return _NEGATE[s]
-
-
-def sign_product(a: int, b: int) -> int:
-    return _PRODUCT[a, b]
 
 
 @dataclass(frozen=True)
@@ -200,7 +187,7 @@ class SignedSet:
         return all(s == ZERO for s in self.signs)
 
     def negate(self) -> "SignedSet":
-        return SignedSet(self.ground, tuple(_NEGATE[s] for s in self.signs))
+        return SignedSet(self.ground, tuple([-s for s in self.signs]))
 
     def compose(self, other: "SignedSet") -> "SignedSet":
         """Entrywise first-nonzero composition: self wins wherever non-zero."""

@@ -291,3 +291,33 @@ def test_malformed_input_exits_cleanly(tmp_path, command, data):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(["om", "pmatroid-check", str(DATA / "lcp3_generic.json")], "ground",
+                     id="pmatroid-check-on-lcp"),
+        pytest.param(["lcp", "check-p", str(DATA / "omcp3_nonp.json")], "M",
+                     id="check-p-on-explicit"),
+        pytest.param(["lcp", "orient", "--q", "QFILE", str(DATA / "lcp3_generic.json")], "q",
+                     id="orient-qfile-without-q"),
+    ],
+)
+def test_missing_field_is_named(tmp_path, capsys, argv, field):
+    qfile = write(tmp_path, "noq.json", {"M": I2})
+    code = main([qfile if a == "QFILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: missing field '{field}'\n"
+
+
+@pytest.mark.parametrize("group", ["om", "reduce", "uso", "adversary", "lcp"])
+def test_unknown_subcommand_exits_1(tmp_path, capsys, group):
+    """argparse rejects the name before any handler runs; its usage message
+    is two lines, so these are not MALFORMED cases."""
+    code = main([group, "no-such-subcommand", write(tmp_path, "x.json", {})])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "invalid choice: 'no-such-subcommand'" in captured.err
+    assert "Traceback" not in captured.err

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from omcp.extend import LexAtom, Localization, materialize_extension
 from omcp.realize import RationalMatrix, RealizedOM, circuits_from_matrix
-from omcp.signs import SIGNS, GroundSet, SignedSet, sign_product
+from omcp.signs import SIGNS, GroundSet, SignedSet
 
 
 def reference_cocircuits(om) -> frozenset[SignedSet]:
@@ -21,7 +21,7 @@ def reference_cocircuits(om) -> frozenset[SignedSet]:
 
     def orthogonal(x):
         for c in om.circuits:
-            products = {sign_product(a, b) for a, b in zip(x, c.signs)} - {0}
+            products = {a * b for a, b in zip(x, c.signs)} - {0}
             if products and len(products) != 2:
                 return False
         return True

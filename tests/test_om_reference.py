@@ -1,18 +1,23 @@
-"""``ExplicitOM.query`` against the basis test and circuit scan it replaced.
+"""``ExplicitOM.query`` and ``check_circuit_axioms`` against the code they replaced.
 
-The reference decides basis-ness first, by the rank and by looking for a
-circuit support inside the set, and only then scans the circuits in
+The query reference decides basis-ness first, by the rank and by looking
+for a circuit support inside the set, and only then scans the circuits in
 encoded order for the one positive at e whose support lies in B + e.  The
 one-pass query must give the same answer, or raise the same ``ValueError``
 text, on realized instances and on circuit sets mutated into non-matroids.
+
+The axiom-check reference compares signed sets, building the negation of
+each circuit per pair, where the check compares ``(pos, neg)`` masks.
+Both must report the same axiom, witnesses and element.
 """
 
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
-from omcp.om import NOT_A_BASIS, ExplicitOM
-from omcp.realize import circuits_from_matrix
+from omcp.om import NOT_A_BASIS, AxiomViolation, ExplicitOM, check_circuit_axioms
+from omcp.realize import RationalMatrix, circuits_from_matrix
 from omcp.signs import PLUS, GroundSet, SignedSet
 from conftest import EXT_CIRCUITS
 from test_realize import configurations
@@ -136,3 +141,97 @@ def test_query_matches_reference_on_non_matroid_errors():
     no_circuit = "ValueError: no fundamental circuit found; circuit set is not a matroid"
     assert not_unique in checked_outcomes(twice)
     assert no_circuit in checked_outcomes(missing)
+
+
+def ref_check_circuit_axioms(circuits, ground=None):
+    circs = sorted(set(circuits), key=lambda c: c.encode())
+    if not circs:
+        return None
+    if ground is None:
+        ground = circs[0].ground
+    if any(c.ground != ground for c in circs):
+        raise ValueError("circuits live on different ground sets")
+
+    for c in circs:
+        if c.is_zero:
+            return AxiomViolation("C0", (c,))
+
+    present = set(circs)
+    for c in circs:
+        if c.negate() not in present:
+            return AxiomViolation("C1", (c,))
+
+    masks = [(c.pos_mask, c.neg_mask) for c in circs]
+    supports = [p | n for p, n in masks]
+    for i, x in enumerate(circs):
+        for j, y in enumerate(circs):
+            if i == j:
+                continue
+            if supports[i] & ~supports[j] == 0 and x != y and x != y.negate():
+                return AxiomViolation("C2", (x, y))
+
+    for i, x in enumerate(circs):
+        xp, xn = masks[i]
+        for j, y in enumerate(circs):
+            yp, yn = masks[j]
+            if x == y.negate():
+                continue
+            elim = xp & yn
+            if not elim:
+                continue
+            for k, name in enumerate(ground.elements):
+                bit = 1 << k
+                if not elim & bit:
+                    continue
+                allowed_pos = (xp | yp) & ~bit
+                allowed_neg = (xn | yn) & ~bit
+                if not any(
+                    zp & ~allowed_pos == 0 and zn & ~allowed_neg == 0
+                    for zp, zn in masks
+                ):
+                    return AxiomViolation("C3", (x, y), name)
+    return None
+
+
+def axiom_outcome(check, om):
+    v = check(om.circuits, om.ground)
+    return None if v is None else (v.axiom, v.witnesses, v.element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated())
+def test_axiom_check_matches_reference(om):
+    assert axiom_outcome(check_circuit_axioms, om) == axiom_outcome(ref_check_circuit_axioms, om)
+
+
+def mutants(om):
+    """The instance, then per circuit: it dropped, it and its negation
+    dropped, its composition with two other circuits added (alone and with
+    the negation), and a second sign pattern on its support (alone and with
+    the negation)."""
+    circuits = sorted(om.circuits, key=lambda c: c.encode())
+    yield om
+    for i, c in enumerate(circuits):
+        sets = [om.circuits - {c}, om.circuits - {c, c.negate()}]
+        for d in (circuits[(i + 1) % len(circuits)], circuits[(i + 3) % len(circuits)]):
+            x = c.compose(d)
+            sets += [om.circuits | {x}, om.circuits | {x, x.negate()}]
+        k = next(k for k, s in enumerate(c.signs) if s)
+        signs = list(c.signs)
+        signs[k] = -signs[k]
+        x = SignedSet(om.ground, tuple(signs))
+        sets += [om.circuits | {x}, om.circuits | {x, x.negate()}]
+        yield from (ExplicitOM(om.ground, frozenset(found)) for found in sets)
+
+
+def test_axiom_check_matches_reference_on_mutants():
+    rng = random.Random(2302)
+    fired = set()
+    for cols in (3, 4, 5, 5):
+        rows = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(2)]
+        om = circuits_from_matrix(RationalMatrix.from_rows(rows), GroundSet.plain("abcde"[:cols]))
+        for mutant in mutants(om):
+            got = axiom_outcome(check_circuit_axioms, mutant)
+            assert got == axiom_outcome(ref_check_circuit_axioms, mutant)
+            fired.add(got and got[0])
+    assert {None, "C1", "C2", "C3"} <= fired

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from omcp.cube import Orientation
 from omcp.om import ExplicitOM
 from omcp.pmatroid import (
     M1,
@@ -19,6 +20,8 @@ from omcp.pmatroid import (
     solve_omcp_bruteforce,
     verify_certificate,
     verify_mv3_pair,
+    verify_u1,
+    verify_uv1,
 )
 from omcp.realize import RationalMatrix, RealizedOM, circuits_from_matrix, plcp_matrix
 from omcp.signs import GroundSet, SignedSet
@@ -190,3 +193,28 @@ def test_certificate_json_roundtrips(ground1q):
         d = certificate_to_json(cert)
         again = certificate_from_json(d, ground1q)
         assert again == cert
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        {"kind": "UV1", "v": "0", "w": "11"},
+        {"kind": "UV1", "v": "01", "w": "0b"},
+        {"kind": "U1", "vertex": "0b1"},
+        {"kind": "U1", "vertex": " 1_0"},
+        {"kind": "U1", "vertex": "12"},
+    ],
+)
+def test_certificate_from_json_rejects_malformed_vertices(d):
+    with pytest.raises(ValueError, match="vertex name must be"):
+        certificate_from_json(d)
+
+
+def test_cube_certificates_of_another_dimension_fail():
+    one_cube = Orientation.from_outmaps(["-", "+"])  # sink 0
+    assert verify_u1(U1(1, 0), one_cube)
+    assert not verify_u1(U1(2, 0), one_cube)
+    two_cube = Orientation.from_outmaps(["--", "-+", "+-", "++"])
+    assert not verify_certificate(UV1(1, 0, 1), two_cube)
+    assert not verify_uv1(UV1(3, 0, 1), Orientation.from_outmaps(["-+"] * 4))
+    assert verify_uv1(UV1(2, 0, 1), Orientation.from_outmaps(["-+"] * 4))

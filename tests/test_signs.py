@@ -3,15 +3,11 @@ from hypothesis import given, strategies as st
 
 from omcp.signs import (
     MINUS,
-    PLUS,
     SIGNS,
-    ZERO,
     GroundSet,
     SignedSet,
     char_sign,
     sign_char,
-    sign_negate,
-    sign_product,
 )
 
 G3 = GroundSet.complementary(1, with_q=True)
@@ -28,11 +24,6 @@ def sign_vectors(size=3):
 
 
 def test_sign_tables():
-    assert sign_negate(PLUS) == MINUS and sign_negate(MINUS) == PLUS
-    assert sign_negate(ZERO) == ZERO
-    assert sign_product(PLUS, MINUS) == MINUS
-    assert sign_product(MINUS, MINUS) == PLUS
-    assert sign_product(ZERO, PLUS) == ZERO
     assert char_sign(sign_char(MINUS)) == MINUS
 
 
