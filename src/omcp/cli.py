@@ -20,7 +20,7 @@ from .guards import SizeGuardError
 from .om import ExplicitOM, check_circuit_axioms
 from .pmatroid import certificate_to_json
 from .realize import RationalMatrix, RealizedOM, omcp_from_plcp, plcp_matrix
-from .signs import GroundSet
+from .signs import GroundSet, sign_char
 
 
 def _read_json(path: str) -> dict:
@@ -269,9 +269,7 @@ def cmd_adversary(args) -> int:
                 "transcript": [
                     {
                         "vertex": cube.vertex_name(v, args.n),
-                        "outmap": "".join(
-                            "+" if s > 0 else "-" for s in answer
-                        ),
+                        "outmap": "".join(map(sign_char, answer)),
                     }
                     for v, answer in result.transcript
                 ],

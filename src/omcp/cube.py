@@ -73,14 +73,15 @@ def is_sw_pair(v: int, w: int, out_v: Sequence[int], out_w: Sequence[int]) -> bo
 
 
 def vertex_name(v: int, n: int) -> str:
-    return format(v, f"0{n}b")
+    """The name of vertex v: n characters '0' or '1', empty on the 0-cube."""
+    return format(v, f"0{n}b") if n else ""
 
 
 def vertex_from_name(s: str, n: int) -> int:
     """The vertex named by exactly n characters '0' or '1'."""
     if len(s) != n or s.strip("01"):
         raise ValueError(f"vertex name must be {n} characters 0 or 1, got {s!r}")
-    return int(s, 2)
+    return int(s or "0", 2)
 
 
 class Orientation:

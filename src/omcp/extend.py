@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .guards import DUALITY_ELEMENTS, check
 from .om import NOT_A_BASIS, AxiomViolation, ExplicitOM, NotABasis, check_circuit_axioms
-from .signs import PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char
+from .signs import PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char, sign_masks
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,14 @@ class ExtensionOM:
             answer = self.base.query(names, e)
             if isinstance(answer, NotABasis):
                 return answer
-            return SignedSet(self.ground, tuple(answer.signs) + (ZERO,))
+            # q is the last element, so the base masks carry over as they are.
+            return SignedSet(self.ground, answer.pos_mask, answer.neg_mask)
         if not self.base.is_basis(names):
             return NOT_A_BASIS
         signs = [ZERO] * (self.ground.size - 1) + [PLUS]
         for b, d in self.base.fundamental_cocircuits(names).items():
             signs[self.ground.index(b)] = -self.sigma.evaluate(d)
-        return SignedSet(self.ground, tuple(signs))
+        return SignedSet(self.ground, *sign_masks(signs))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -191,7 +192,7 @@ def materialize_extension(sigma: Localization) -> ExplicitOM:
     ground = oracle.ground
     circuits: set[SignedSet] = set()
     for c in base.circuit_set():
-        lifted = SignedSet(ground, tuple(c.signs) + (ZERO,))
+        lifted = SignedSet(ground, c.pos_mask, c.neg_mask)
         circuits.add(lifted)
         circuits.add(lifted.negate())
     for basis in base.bases():

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .guards import DUALITY_ELEMENTS, check
-from .signs import PLUS, ZERO, GroundSet, SignedSet
+from .signs import PLUS, ZERO, GroundSet, SignedSet, sign_masks
 
 
 class NotABasis:
@@ -124,20 +124,8 @@ class ExplicitOM:
 
     @cached_property
     def _circuit_masks(self) -> tuple[tuple[int, int, SignedSet], ...]:
-        """``(pos_mask, support_mask, circuit)`` for every circuit, bit k
-        standing for ground element k."""
-        result = []
-        for c in self.circuits:
-            pos = support = 0
-            bit = 1
-            for s in c.signs:
-                if s:
-                    support |= bit
-                    if s == PLUS:
-                        pos |= bit
-                bit <<= 1
-            result.append((pos, support, c))
-        return tuple(result)
+        """``(pos_mask, support_mask, circuit)`` for every circuit."""
+        return tuple((c.pos_mask, c.support_mask, c) for c in self.circuits)
 
     def _mask(self, names: Iterable[str]) -> int:
         m = 0
@@ -253,7 +241,7 @@ class ExplicitOM:
             signs[self.ground.index(e)] = PLUS
             for k, c in outside:
                 signs[k] = -c.sign_of(e)
-            result[e] = SignedSet(self.ground, tuple(signs))
+            result[e] = SignedSet(self.ground, *sign_masks(signs))
         return result
 
     def minor_delete(self, e: str) -> "ExplicitOM":

@@ -31,21 +31,15 @@ from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
 class M1:
     circuit: SignedSet
 
-    kind = "M1"
-
 
 @dataclass(frozen=True)
 class MV1:
     circuit: SignedSet
 
-    kind = "MV1"
-
 
 @dataclass(frozen=True)
 class MV2:
     basis: frozenset[str]
-
-    kind = "MV2"
 
 
 @dataclass(frozen=True)
@@ -53,15 +47,11 @@ class MV3:
     x: SignedSet
     y: SignedSet
 
-    kind = "MV3"
-
 
 @dataclass(frozen=True)
 class U1:
     n: int
     vertex: int
-
-    kind = "U1"
 
 
 @dataclass(frozen=True)
@@ -69,8 +59,6 @@ class UV1:
     n: int
     v: int
     w: int
-
-    kind = "UV1"
 
 
 Certificate = M1 | MV1 | MV2 | MV3 | U1 | UV1
@@ -93,24 +81,35 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(d: dict, ground: GroundSet | None = None) -> Certificate:
-    kind = d["kind"]
+    """The certificate a JSON object describes; ValueError when it is malformed."""
+    if not isinstance(d, dict):
+        raise ValueError("a certificate must be a JSON object")
+
+    def text(key: str) -> str:
+        value = d.get(key)
+        if not isinstance(value, str):
+            raise ValueError(f"certificate field {key!r} must be a string")
+        return value
+
+    kind = d.get("kind")
+    if kind in ("M1", "MV1", "MV3") and ground is None:
+        raise ValueError("circuit certificates need the instance ground set")
     if kind in ("M1", "MV1"):
-        if ground is None:
-            raise ValueError("circuit certificates need the instance ground set")
-        circuit = SignedSet.decode(ground, d["circuit"])
+        circuit = SignedSet.decode(ground, text("circuit"))
         return M1(circuit) if kind == "M1" else MV1(circuit)
     if kind == "MV2":
-        return MV2(frozenset(d["basis"]))
+        basis = d.get("basis")
+        if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
+            raise ValueError("certificate field 'basis' must be a list of element names")
+        return MV2(frozenset(basis))
     if kind == "MV3":
-        if ground is None:
-            raise ValueError("circuit certificates need the instance ground set")
-        return MV3(SignedSet.decode(ground, d["X"]), SignedSet.decode(ground, d["Y"]))
+        return MV3(SignedSet.decode(ground, text("X")), SignedSet.decode(ground, text("Y")))
     if kind == "U1":
-        n = len(d["vertex"])
-        return U1(n, vertex_from_name(d["vertex"], n))
+        vertex = text("vertex")
+        return U1(len(vertex), vertex_from_name(vertex, len(vertex)))
     if kind == "UV1":
-        n = len(d["v"])
-        return UV1(n, vertex_from_name(d["v"], n), vertex_from_name(d["w"], n))
+        v = text("v")
+        return UV1(len(v), vertex_from_name(v, len(v)), vertex_from_name(text("w"), len(v)))
     raise ValueError(f"unknown certificate kind: {kind!r}")
 
 
@@ -150,9 +149,6 @@ class PMatroidCheck:
     is_p: bool
     s_is_basis: bool
     sign_reversing: SignedSet | None
-
-    def __bool__(self) -> bool:
-        return self.is_p
 
 
 def is_p_matroid(om) -> PMatroidCheck:

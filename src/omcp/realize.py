@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
 from .om import NOT_A_BASIS, ExplicitOM, NotABasis
-from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
+from .signs import GroundSet, SignedSet, sign_masks
 
 Vector = tuple[Fraction, ...]
 
@@ -185,8 +185,8 @@ class RealizedOM:
     The circuit and cocircuit sets are read off the tableaux of all
     bases, which one walk visits in lexicographic order without caching;
     a circuit recurs at every basis that contains its support minus one
-    element, so each is kept once, as a sign tuple, before it becomes a
-    SignedSet.
+    element, so each is kept once, as its pair of sign masks, before it
+    becomes a SignedSet.
     """
 
     def __init__(self, matrix: RationalMatrix, ground: GroundSet):
@@ -268,24 +268,22 @@ class RealizedOM:
             yield frozenset(names[j] for j in js)
 
     def _signed(self, d: int, x: Iterable[int]) -> SignedSet:
-        """The sign vector of sign(d) * x."""
-        pos, neg = (PLUS, MINUS) if d > 0 else (MINUS, PLUS)
-        # tuple() of a list allocates the exact size; of a generator it
-        # resizes, and the freed tuples pile up on CPython's tuple free list.
-        signs = [pos if v > 0 else (neg if v < 0 else ZERO) for v in x]
-        return SignedSet(self.ground, tuple(signs))
+        """The signed set sign(d) * x; a negative d swaps the two masks."""
+        return SignedSet(self.ground, *sign_masks(x)[:: 1 if d > 0 else -1])
 
-    def _circuit_signs(self, js: list[int], d: int, t: list[list[int]], e: int) -> tuple[int, ...]:
-        """The signs of C(B, e), sign(D) times -(column e of T) on B and D at
-        e: + at e, and -sign(D) * sign(T[k][e]) at the basis column of row k."""
-        above, below = (MINUS, PLUS) if d > 0 else (PLUS, MINUS)
-        x = [ZERO] * self.ground.size
-        x[e] = PLUS
+    def _fundamental_masks(
+        self, js: list[int], d: int, t: list[list[int]], e: int
+    ) -> tuple[int, int]:
+        """``(pos_mask, neg_mask)`` of C(B, e), sign(D) times -(column e of T)
+        on B and D at e: + at e, and -sign(D) * sign(T[k][e]) at the basis
+        column of row k."""
+        above = below = 0
         for j, row in zip(js, t):
-            v = row[e]
-            if v:
-                x[j] = above if v > 0 else below
-        return tuple(x)
+            if row[e] > 0:
+                above |= 1 << j
+            elif row[e] < 0:
+                below |= 1 << j
+        return (1 << e | below, above) if d > 0 else (1 << e | above, below)
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._tableau(frozenset(subset)) is not None
@@ -310,7 +308,7 @@ class RealizedOM:
         entry = self._tableau(names)
         if entry is None:
             return NOT_A_BASIS
-        return SignedSet(self.ground, self._circuit_signs(*entry, j_e))
+        return SignedSet(self.ground, *self._fundamental_masks(*entry, j_e))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -352,15 +350,15 @@ class RealizedOM:
     def _explicit(self) -> ExplicitOM:
         """Every C(B, e) with e outside a basis B, and its negation.
 
-        Each C(B, e) is read as a sign tuple, and one SignedSet is built per
-        distinct tuple and per negation.
+        Each C(B, e) is read as its pair of masks, and one SignedSet is
+        built per distinct pair and per negation.
         """
         check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
         found = {
-            self._circuit_signs(js, d, t, e)
+            self._fundamental_masks(js, d, t, e)
             for js, d, t in self._all_tableaux()
             for e in range(self.matrix.cols)
             if e not in js
         }
-        found.update([tuple([-s for s in x]) for x in found])
-        return ExplicitOM(self.ground, frozenset(SignedSet(self.ground, x) for x in found))
+        found.update([(neg, pos) for pos, neg in found])
+        return ExplicitOM(self.ground, frozenset(SignedSet(self.ground, *x) for x in found))

@@ -2,16 +2,17 @@
 
 Signs are the three ints ``-1, 0, +1``, so sign arithmetic is integer
 arithmetic: ``-s`` negates and ``a * b`` multiplies, never floating
-point.  A :class:`SignedSet` is a vector of signs indexed by the
-elements of a :class:`GroundSet` and is the carrier for circuits and
-cocircuits alike.  All values here are immutable.
+point.  A :class:`SignedSet` is a signed set (X+, X-) over a
+:class:`GroundSet`, stored as two disjoint bit masks indexed by the
+element order, and is the carrier for circuits and cocircuits alike.
+All values here are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MINUS, ZERO, PLUS = -1, 0, 1
 SIGNS = (MINUS, ZERO, PLUS)
@@ -29,6 +30,17 @@ def char_sign(c: str) -> int:
         return _CHAR_SIGN[c]
     except KeyError:
         raise ValueError(f"not a sign character: {c!r}") from None
+
+
+def sign_masks(values: Iterable[int]) -> tuple[int, int]:
+    """``(pos_mask, neg_mask)``: bit k set where entry k is positive (negative)."""
+    pos = neg = 0
+    for k, v in enumerate(values):
+        if v > 0:
+            pos |= 1 << k
+        elif v < 0:
+            neg |= 1 << k
+    return pos, neg
 
 
 @dataclass(frozen=True)
@@ -132,70 +144,77 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class SignedSet:
-    """Sign vector over a ground set; tuple view (X+, X-) derives from it."""
+    """Signed set X = (X+, X-) over a ground set: bit k of ``pos_mask``
+    (``neg_mask``) is set when ground element k lies in X+ (X-).
+
+    The two masks are the whole value; the sign vector ``signs`` and the
+    text form ``encode`` are read off them.  Build one from signs with
+    :meth:`from_signs` or from text with :meth:`decode`.
+    """
 
     ground: GroundSet
-    signs: tuple[int, ...]
+    pos_mask: int
+    neg_mask: int
 
     def __post_init__(self) -> None:
-        if len(self.signs) != self.ground.size:
+        if self.pos_mask & self.neg_mask or (self.pos_mask | self.neg_mask) >> self.ground.size:
+            raise ValueError("sign masks must be disjoint subsets of the ground set")
+
+    @classmethod
+    def from_signs(cls, ground: GroundSet, signs: Sequence[int]) -> "SignedSet":
+        """The signed set with sign ``signs[k]`` at ground element k."""
+        if len(signs) != ground.size:
             raise ValueError("sign vector length does not match ground set")
-        if any(s not in SIGNS for s in self.signs):
+        if any(s not in SIGNS for s in signs):
             raise ValueError("signs must be -1, 0 or +1")
+        return cls(ground, *sign_masks(signs))
 
     @classmethod
     def decode(cls, ground: GroundSet, text: str) -> "SignedSet":
-        return cls(ground, tuple(char_sign(c) for c in text))
+        return cls.from_signs(ground, [char_sign(c) for c in text])
 
     @classmethod
     def zero(cls, ground: GroundSet) -> "SignedSet":
-        return cls(ground, (ZERO,) * ground.size)
+        return cls(ground, 0, 0)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """The sign vector, entry k the sign of ground element k."""
+        p, n = self.pos_mask, self.neg_mask
+        return tuple([(p >> k & 1) - (n >> k & 1) for k in range(self.ground.size)])
 
     def encode(self) -> str:
-        return "".join(sign_char(s) for s in self.signs)
+        p, n = self.pos_mask, self.neg_mask
+        return "".join([_SIGN_CHAR[(p >> k & 1) - (n >> k & 1)] for k in range(self.ground.size)])
 
     def sign_of(self, name: str) -> int:
-        return self.signs[self.ground.index(name)]
-
-    @cached_property
-    def pos_mask(self) -> int:
-        m = 0
-        for i, s in enumerate(self.signs):
-            if s == PLUS:
-                m |= 1 << i
-        return m
-
-    @cached_property
-    def neg_mask(self) -> int:
-        m = 0
-        for i, s in enumerate(self.signs):
-            if s == MINUS:
-                m |= 1 << i
-        return m
+        bit = 1 << self.ground.index(name)
+        return PLUS if self.pos_mask & bit else (MINUS if self.neg_mask & bit else ZERO)
 
     @property
     def support_mask(self) -> int:
         return self.pos_mask | self.neg_mask
 
     def support(self) -> frozenset[str]:
-        return frozenset(
-            name for name, s in zip(self.ground.elements, self.signs) if s != ZERO
-        )
+        m = self.support_mask
+        return frozenset(name for k, name in enumerate(self.ground.elements) if m >> k & 1)
 
     @property
     def is_zero(self) -> bool:
-        return all(s == ZERO for s in self.signs)
+        return not self.support_mask
 
     def negate(self) -> "SignedSet":
-        return SignedSet(self.ground, tuple([-s for s in self.signs]))
+        return SignedSet(self.ground, self.neg_mask, self.pos_mask)
 
     def compose(self, other: "SignedSet") -> "SignedSet":
         """Entrywise first-nonzero composition: self wins wherever non-zero."""
         if self.ground != other.ground:
             raise ValueError("composition requires a common ground set")
+        free = ~self.support_mask
         return SignedSet(
             self.ground,
-            tuple(a if a != ZERO else b for a, b in zip(self.signs, other.signs)),
+            self.pos_mask | other.pos_mask & free,
+            self.neg_mask | other.neg_mask & free,
         )
 
     def orthogonal(self, other: "SignedSet") -> bool:
@@ -211,10 +230,7 @@ class SignedSet:
 
     def restricted_to(self, ground: GroundSet) -> "SignedSet":
         """Restriction onto a ground set whose elements are a subset of ours."""
-        return SignedSet(ground, tuple(self.sign_of(name) for name in ground.elements))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.signs)
+        return SignedSet.from_signs(ground, [self.sign_of(name) for name in ground.elements])
 
     def __repr__(self) -> str:
         return f"SignedSet({self.encode()!r})"

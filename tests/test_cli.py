@@ -148,6 +148,12 @@ def test_uso_commands(tmp_path, capsys):
     assert code == 0 and report == {"n": 2, "count": 12}
 
 
+def test_uso_solve_names_the_zero_cube_sink_by_the_empty_string(tmp_path, capsys):
+    uso = write(tmp_path, "zero.json", {"outmaps": [""]})
+    code, report = run(capsys, ["uso", "solve", uso])
+    assert code == 0 and report["sink"] == ""
+
+
 @pytest.mark.parametrize("n", ["-1", "4"])
 def test_uso_enumerate_rejects_n_outside_range(capsys, n):
     assert main(["uso", "enumerate", "--n", n]) == 1

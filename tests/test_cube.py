@@ -31,6 +31,7 @@ from omcp.cube import (
     source_vertex,
     unoriented_faces,
     vertex_bit,
+    vertex_from_name,
     vertex_name,
 )
 from omcp.guards import SizeGuardError
@@ -55,6 +56,13 @@ def test_vertex_encoding():
     assert vertex_name(2, 3) == "010"
     assert vertex_bit(2, 1, 3) == 1 and vertex_bit(2, 0, 3) == 0
     assert flip_vertex(0, 0, 3) == 4
+
+
+def test_zero_cube_vertex_is_named_by_the_empty_string():
+    assert vertex_name(0, 0) == ""
+    assert vertex_from_name("", 0) == 0
+    with pytest.raises(ValueError):
+        vertex_from_name("0", 0)
 
 
 def test_fig_style_one_edge_uso():

@@ -32,7 +32,7 @@ def reference_cocircuits(om) -> frozenset[SignedSet]:
     candidates = [x for x in itertools.product(SIGNS, repeat=m) if any(x) and orthogonal(x)]
     supports = {support(x) for x in candidates}
     return frozenset(
-        SignedSet(om.ground, x)
+        SignedSet.from_signs(om.ground, x)
         for x in candidates
         if not any(t < support(x) for t in supports)
     )

@@ -8,7 +8,8 @@ drops one of those names fails here.  Library code must not rely on
 environment: its ``OMCP_GUARD_OVERRIDE`` is the package's one setting
 outside the call arguments.  Only ``realize`` and ``plcp`` read a matrix
 through ``linalg``: every other module reaches a matrix through an oracle.
-Every name a library module imports is referenced in it.
+Every name a library module imports is referenced in it.  A signed set
+is its two masks; only ``signs`` reads the derived ``.signs`` tuple.
 """
 
 import ast
@@ -134,3 +135,13 @@ def test_package_imports_are_used():
         for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def test_only_signs_reads_the_sign_tuple():
+    readers = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "signs"
+    }
+    assert sorted(readers - {"signs.py"}) == []

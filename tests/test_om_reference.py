@@ -118,7 +118,7 @@ def mutated(draw):
         k = draw(st.sampled_from(support))
         signs = list(c.signs)
         signs[k] = -signs[k]
-        other = SignedSet(om.ground, tuple(signs))
+        other = SignedSet.from_signs(om.ground, tuple(signs))
         found.add(other)
         if draw(st.booleans()):
             found.add(other.negate())
@@ -219,7 +219,7 @@ def mutants(om):
         k = next(k for k, s in enumerate(c.signs) if s)
         signs = list(c.signs)
         signs[k] = -signs[k]
-        x = SignedSet(om.ground, tuple(signs))
+        x = SignedSet.from_signs(om.ground, tuple(signs))
         sets += [om.circuits | {x}, om.circuits | {x, x.negate()}]
         yield from (ExplicitOM(om.ground, frozenset(found)) for found in sets)
 

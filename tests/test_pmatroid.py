@@ -210,6 +210,37 @@ def test_certificate_from_json_rejects_malformed_vertices(d):
         certificate_from_json(d)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        ["U1", ""],
+        "U1",
+        {"kind": "U1", "vertex": 5},
+        {"kind": "U1"},
+        {"circuit": "+"},
+        {"kind": "MV2", "basis": 5},
+        {"kind": "MV2", "basis": ["s1", 1]},
+        {"kind": "MV2"},
+        {"kind": "M1", "circuit": ["+", "0", "+"]},
+        {"kind": "MV1"},
+        {"kind": "MV3", "X": "+0+"},
+        {"kind": "UV1", "v": "01", "w": None},
+        {"kind": "UV1", "w": "01"},
+    ],
+)
+def test_certificate_from_json_rejects_malformed_fields(d, ground1q):
+    with pytest.raises(ValueError):
+        certificate_from_json(d, ground1q)
+
+
+def test_zero_cube_sink_certificate_roundtrips_and_verifies():
+    d = certificate_to_json(U1(0, 0))
+    assert d == {"kind": "U1", "vertex": ""}
+    cert = certificate_from_json(d)
+    assert cert == U1(0, 0)
+    assert verify_certificate(cert, Orientation.from_outmaps([""]))
+
+
 def test_cube_certificates_of_another_dimension_fail():
     one_cube = Orientation.from_outmaps(["-", "+"])  # sink 0
     assert verify_u1(U1(1, 0), one_cube)

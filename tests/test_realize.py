@@ -69,7 +69,7 @@ def reference_circuits(matrix: RationalMatrix, ground: GroundSet) -> ExplicitOM:
             signs = [ZERO] * ground.size
             for j, v in zip(combo, kernel):
                 signs[j] = PLUS if v > 0 else MINUS
-            circuit = SignedSet(ground, tuple(signs))
+            circuit = SignedSet.from_signs(ground, tuple(signs))
             circuits.add(circuit)
             circuits.add(circuit.negate())
             found_supports.append(mask)
@@ -248,7 +248,7 @@ def test_column_scaling_invariance(case):
     for c in base.circuits:
         signs = list(c.signs)
         signs[column] = -signs[column]
-        expected.add(type(c)(ground, tuple(signs)))
+        expected.add(type(c).from_signs(ground, tuple(signs)))
     assert flipped.circuits == expected
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,7 @@ def ss(text, ground=G3):
 
 def sign_vectors(size=3):
     return st.tuples(*([st.sampled_from(SIGNS)] * size)).map(
-        lambda t: SignedSet(G3, t)
+        lambda t: SignedSet.from_signs(G3, t)
     )
 
 
@@ -100,3 +102,66 @@ def test_compose_associative(x, y, z):
 def test_compose_idempotent_and_identity(x):
     assert x.compose(x) == x
     assert SignedSet.zero(G3).compose(x) == x
+
+
+# A plain sign-tuple reference for every SignedSet operation, on a ground
+# set of five elements and on the subsets it restricts to.
+G5 = GroundSet.complementary(2, with_q=True)
+SUBGROUNDS = (G5.without("q"), GroundSet.plain(["t2", "s1"]), GroundSet.plain([]))
+REF_CHAR = {1: "+", -1: "-", 0: "0"}
+
+sign_tuples = st.tuples(*([st.sampled_from(SIGNS)] * G5.size))
+
+
+def ref_orthogonal(a, b):
+    products = {x * y for x, y in zip(a, b)} - {0}
+    return len(products) != 1
+
+
+@given(sign_tuples, sign_tuples)
+def test_operations_match_sign_tuple_reference(a, b):
+    x, y = SignedSet.from_signs(G5, a), SignedSet.from_signs(G5, b)
+    assert x.signs == a
+    assert tuple(x.sign_of(name) for name in G5.elements) == a
+    assert x.negate().signs == tuple(-s for s in a)
+    assert x.compose(y).signs == tuple(s if s else t for s, t in zip(a, b))
+    assert x.orthogonal(y) == ref_orthogonal(a, b)
+    assert x.support() == frozenset(name for name, s in zip(G5.elements, a) if s)
+    assert x.is_zero == (not any(a))
+    assert (x == y) == (a == b)
+    for sub in SUBGROUNDS:
+        expected = tuple(a[G5.index(name)] for name in sub.elements)
+        assert x.restricted_to(sub).signs == expected
+
+
+@given(sign_tuples)
+def test_from_signs_and_decode_agree(a):
+    text = "".join(REF_CHAR[s] for s in a)
+    x = SignedSet.from_signs(G5, a)
+    assert x.encode() == text
+    decoded = SignedSet.decode(G5, text)
+    assert decoded == x and hash(decoded) == hash(x)
+
+
+def test_signed_set_is_its_two_masks():
+    assert [f.name for f in dataclasses.fields(SignedSet)] == ["ground", "pos_mask", "neg_mask"]
+    x = ss("+-0")
+    assert (x.pos_mask, x.neg_mask) == (0b001, 0b010)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SignedSet(G3, 0b001, 0b001),
+        lambda: SignedSet(G3, 0b1000, 0),
+        lambda: SignedSet(G3, 0, -1),
+        lambda: SignedSet.from_signs(G3, (1, 0)),
+        lambda: SignedSet.from_signs(G3, (1, 0, 0, 0)),
+        lambda: SignedSet.from_signs(G3, (1, 0, 2)),
+        lambda: SignedSet.decode(G3, "+0"),
+        lambda: SignedSet.decode(G3, "+x0"),
+    ],
+)
+def test_invalid_signed_sets_raise(build):
+    with pytest.raises(ValueError):
+        build()
