@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,8 @@ from omcp.reduction import (
     vertex_basis,
 )
 from omcp.signs import MINUS, PLUS, ZERO, GroundSet
+
+DATA = Path(__file__).parent / "data"
 
 
 def realized(m_rows, q_values):
@@ -209,3 +213,38 @@ def test_p_extension_orientations_are_usos():
         cert = map_back_sink(oracle, sink_vertex(o), n)
         assert isinstance(cert, M1)
         assert cert == solve_omcp_bruteforce(oracle, n)
+
+
+def partial_or_none(oracle, v, n):
+    """The partial outmap of v, or None when B(v) is not a basis."""
+    try:
+        return orient_vertex_partial(oracle, v, n)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "name", ["lcp5_degenerate", "lcp3_singular", "lcp3_nonp", "lcp2_two_singular"]
+)
+def test_swapping_a_complementary_pair_mirrors_the_cube(name):
+    """Exchanging the columns of s_i and t_i relabels vertex v as v ^ e_i.
+
+    B(v) of the swapped matrix takes the columns of B(v ^ e_i) of the
+    original under the same element names per dimension, so both the
+    partial outmaps and the missing bases must match.
+    """
+    data = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    m = RationalMatrix.from_rows(data["M"])
+    q = tuple(Fraction(v) for v in data["q"])
+    n = m.rows
+    ground = GroundSet.complementary(n, with_q=True)
+    original = RealizedOM(plcp_matrix(m, q), ground)
+    for i in range(n):
+        rows = [list(row) for row in plcp_matrix(m, q).entries]
+        for row in rows:
+            row[i], row[n + i] = row[n + i], row[i]
+        swapped = RealizedOM(RationalMatrix.from_rows(rows), ground)
+        e_i = 1 << (n - 1 - i)
+        for a, b in ((original, swapped), (original.to_explicit(), swapped.to_explicit())):
+            for v in range(1 << n):
+                assert partial_or_none(b, v, n) == partial_or_none(a, v ^ e_i, n), (i, v)
