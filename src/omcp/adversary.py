@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from .cube import (
     Face,
     Orientation,
+    Outmap,
+    embed,
     flip_vertex,
     holt_klee_value,
     is_uso_exhaustive,
@@ -37,7 +39,7 @@ from .guards import GAME_DIM, check
 from .plcp import random_p_matrix
 from .realize import RealizedOM, RationalMatrix, hstack, negated
 from .reduction import orient_vertex_total
-from .signs import MINUS, PLUS, ZERO, GroundSet
+from .signs import MINUS, GroundSet
 
 
 class AdversaryState:
@@ -55,14 +57,14 @@ class AdversaryState:
             raise ValueError("adversary base must be uniform")
         self.sigma = Localization(base)
         self.hypersink = Face.whole(self.n)
-        self.transcript: list[tuple[int, tuple[int, ...]]] = []
+        self.transcript: list[tuple[int, Outmap]] = []
 
     @property
     def oracle(self) -> ExtensionOM:
         return ExtensionOM(self.sigma)
 
-    def answer(self, v: int) -> tuple[int, ...]:
-        """Zero-free orientation of v, composing one atom if v lies in U."""
+    def answer(self, v: int) -> Outmap:
+        """Total outmap of v, composing one atom if v lies in U."""
         u = self.hypersink
         if u.dim > 0 and u.contains(v):
             i = min(u.spanned)
@@ -74,8 +76,6 @@ class AdversaryState:
             )
             self.hypersink = u.fix_dim(i, 1 - bit)
         out = orient_vertex_total(self.oracle, v, self.n)
-        if ZERO in out:
-            raise RuntimeError("adversary produced an unoriented half-edge; base not uniform?")
         self.transcript.append((v, out))
         return out
 
@@ -91,7 +91,7 @@ class AdversaryState:
 @dataclass(frozen=True)
 class GameResult:
     query_count: int
-    transcript: tuple[tuple[int, tuple[int, ...]], ...]
+    transcript: tuple[tuple[int, Outmap], ...]
     oracle: ExtensionOM
     sink: int
 
@@ -100,7 +100,7 @@ def run_game(algo, state: AdversaryState) -> GameResult:
     """Play until the algorithm claims a sink; verify the claim and transcript."""
     claimed, count = sink_find(algo, Orientation(state.n, fn=state.answer))
     oracle = state.finalize()
-    if any(s != MINUS for s in orient_vertex_total(oracle, claimed, state.n)):
+    if orient_vertex_total(oracle, claimed, state.n) != (0, 0):
         raise RuntimeError("algorithm claimed a vertex that is not the sink")
     for v, recorded in state.transcript:
         if orient_vertex_total(oracle, v, state.n) != recorded:
@@ -143,7 +143,7 @@ class SSState:
         self.n = n
         self.budget = n - math.ceil(math.log2(n))
         self.dims: list[int] = []
-        self.s_tilde = Orientation(0, table=[()])
+        self.s_tilde = Orientation(0, table=[(0, 0)])
         self.queried: list[int] = []
 
     def _extend(self, ell: int) -> None:
@@ -158,44 +158,30 @@ class SSState:
         kept = [j for j in range(k + 1) if j != pos]
         table = []
         for p_new in range(1 << (k + 1)):
-            side = vertex_bit(p_new, pos, k + 1)
             p_old = project(p_new, kept, k + 1)
-            old_row = list(self.s_tilde.outmap(p_old))
-            if p_old in hosts:
-                cross = PLUS if side == hosts[p_old] else MINUS
-            else:
-                cross = PLUS if side == 1 else MINUS
-            table.append(tuple(old_row[:pos] + [cross] + old_row[pos:]))
+            old_plus, _ = self.s_tilde.outmap(p_old)
+            plus = embed(old_plus, kept, k + 1)
+            # away from the queried host, else downward
+            if vertex_bit(p_new, pos, k + 1) == hosts.get(p_old, 1):
+                plus |= flip_vertex(0, pos, k + 1)
+            table.append((plus, 0))
         self.dims = new_dims
         self.s_tilde = Orientation(k + 1, table=table)
 
-    def answer(self, v: int) -> tuple[int, ...]:
+    def answer(self, v: int) -> Outmap:
         if v not in self.queried and len(self.queried) >= self.budget:
             raise RuntimeError("first-phase query budget exhausted")
-        collider = next(
-            (
-                u
-                for u in self.queried
-                if u != v
-                and project(u, self.dims, self.n) == project(v, self.dims, self.n)
-            ),
-            None,
-        )
+        in_l = embed((1 << len(self.dims)) - 1, self.dims, self.n)
+        collider = next((u for u in self.queried if u != v and (u ^ v) & in_l == 0), None)
         if collider is not None:
-            ell = min(
-                d
-                for d in range(self.n)
-                if d not in self.dims
-                and vertex_bit(collider, d, self.n) != vertex_bit(v, d, self.n)
-            )
+            # the lowest differing dimension outside L is the highest differing bit
+            ell = self.n - ((collider ^ v) & ~in_l).bit_length()
             self._extend(ell)
-        projected = self.s_tilde.outmap(project(v, self.dims, self.n))
-        out = [PLUS] * self.n
-        for k, d in enumerate(self.dims):
-            out[d] = projected[k]
+            in_l |= flip_vertex(0, ell, self.n)
+        plus, _ = self.s_tilde.outmap(project(v, self.dims, self.n))
         if v not in self.queried:
             self.queried.append(v)
-        return tuple(out)
+        return ((1 << self.n) - 1) & ~in_l | embed(plus, self.dims, self.n), 0
 
 
 def ss_forcing_run(n: int) -> Orientation:
@@ -212,19 +198,17 @@ def ss_forcing_run(n: int) -> Orientation:
     def vertex_of(ones) -> int:
         return sum(flip_vertex(0, d, n) for d in ones)
 
-    state.answer(vertex_of([]))
-    a2 = state.answer(vertex_of(pool))
-    detected = [d for d in pool if a2[d] == MINUS]
-    if len(detected) != 1:
-        raise RuntimeError("second answer must have exactly one incoming edge")
-    ell1 = detected[0]
-    rest = [d for d in pool if d != ell1]
+    def incoming(ones, which: str) -> int:
+        """The one pool dimension along which the answer at ``ones`` is incoming."""
+        plus, _ = state.answer(vertex_of(ones))
+        detected = [d for d in pool if not vertex_bit(plus, d, n)]
+        if len(detected) != 1:
+            raise RuntimeError(f"{which} answer must have exactly one incoming edge")
+        return detected[0]
 
-    a3 = state.answer(vertex_of(rest))
-    detected = [d for d in pool if a3[d] == MINUS]
-    if len(detected) != 1:
-        raise RuntimeError("third answer must have exactly one incoming edge")
-    ell2 = detected[0]
+    state.answer(vertex_of([]))
+    ell1 = incoming(pool, "second")
+    ell2 = incoming([d for d in pool if d != ell1], "third")
     ell3 = next(d for d in pool if d not in (ell1, ell2))
 
     before = len(state.dims)

@@ -20,7 +20,7 @@ from .guards import SizeGuardError
 from .om import ExplicitOM, check_circuit_axioms
 from .pmatroid import certificate_to_json
 from .realize import RationalMatrix, RealizedOM, omcp_from_plcp, plcp_matrix
-from .signs import GroundSet, sign_char
+from .signs import GroundSet
 
 
 def _read_json(path: str) -> dict:
@@ -78,15 +78,15 @@ def _orientation_dot(o: cube.Orientation) -> str:
     lines = ["digraph cube {"]
     n = o.n
     for v in o.vertices():
-        out = o.outmap(v)
+        plus, zero = o.outmap(v)
         for i in range(n):
             if cube.vertex_bit(v, i, n):
                 continue
             w = cube.flip_vertex(v, i, n)
             a, b = cube.vertex_name(v, n), cube.vertex_name(w, n)
-            if out[i] == 0:
+            if cube.vertex_bit(zero, i, n):
                 lines.append(f'  "{a}" -> "{b}" [dir=none, style=dashed];')
-            elif out[i] > 0:
+            elif cube.vertex_bit(plus, i, n):
                 lines.append(f'  "{a}" -> "{b}";')
             else:
                 lines.append(f'  "{b}" -> "{a}";')
@@ -269,7 +269,7 @@ def cmd_adversary(args) -> int:
                 "transcript": [
                     {
                         "vertex": cube.vertex_name(v, args.n),
-                        "outmap": "".join(map(sign_char, answer)),
+                        "outmap": cube.outmap_name(answer, args.n),
                     }
                     for v, answer in result.transcript
                 ],

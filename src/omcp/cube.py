@@ -2,27 +2,30 @@
 
 Vertices of the n-cube are integers whose binary string (most significant
 bit = dimension 0) matches the serialized vertex order 00, 01, 10, 11, ...
-An orientation maps each vertex to its outmap, a tuple of half-edge signs:
-+1 for outgoing, -1 for incoming, 0 for an unoriented (degenerate)
-half-edge in the partial case.  Outmaps are the only stored and public
-form.  The downward rule and the pair test run on two bit masks per
-outmap, outgoing and unoriented, in vertex bit order.  The Szabo-Welzl,
-partial and USO checks are one fold over two 2^n-bit vertex sets per
-dimension, outgoing and unoriented, permuted by block swaps.  The USO
-check shares it because a sign table has one sink in every face iff no
-pair fails the Szabo-Welzl condition (Szabo & Welzl, FOCS 2001).  Masks
-are derived inside this module only.  Orientations are either dense
-tables or pure query oracles; both are immutable after construction.
+An outmap is the pair ``(plus, zero)`` of n-bit masks in the same bit
+order: bit n-1-i of ``plus`` is set when the half-edge of dimension i is
+outgoing, bit n-1-i of ``zero`` when it is unoriented (degenerate, partial
+case only); every other half-edge is incoming, so ``(0, 0)`` is a sink.
+Every layer stores, passes and tests this one form; sign strings such as
+``"+0-"`` exist only in :func:`outmap_name` and :func:`outmap_from_name`.
+The Szabo-Welzl, partial and USO checks are one fold over two 2^n-bit
+vertex sets per dimension, outgoing and unoriented, permuted by block
+swaps.  The USO check shares it because an orientation has one sink in
+every face iff no pair fails the Szabo-Welzl condition (Szabo & Welzl,
+FOCS 2001).  Orientations are either dense tables or pure query oracles;
+both are immutable after construction.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .guards import OMCP_SCAN_DIM, USO_EXHAUSTIVE_DIM, check
-from .signs import MINUS, PLUS, ZERO, char_sign, sign_char
+from .guards import HOLT_KLEE_DIM, OMCP_SCAN_DIM, check
+from .signs import char_sign, sign_char, sign_masks
+
+Outmap = tuple[int, int]
 
 
 def vertex_bit(v: int, i: int, n: int) -> int:
@@ -45,30 +48,24 @@ def project(v: int, dims: Sequence[int], n: int) -> int:
     return p
 
 
-def _masks(out: Sequence[int]) -> tuple[int, int]:
-    """(outgoing, unoriented) bit masks of one outmap, in vertex bit order."""
-    plus = zero = 0
-    for s in out:
-        plus = plus << 1 | (s == PLUS)
-        zero = zero << 1 | (s == ZERO)
-    return plus, zero
+def embed(p: int, dims: Sequence[int], n: int) -> int:
+    """Inverse of :func:`project`: p's coordinates placed on ``dims``, zero elsewhere."""
+    return sum(1 << (n - 1 - d) for j, d in enumerate(dims) if vertex_bit(p, j, len(dims)))
 
 
-def downward_outmap(v: int, out: Sequence[int]) -> tuple[int, ...]:
+def downward_outmap(v: int, out: Outmap) -> Outmap:
     """The outmap of v with every unoriented half-edge directed downward.
 
     Downward means toward the endpoint with fewer ones: the half-edge of
     dimension i is outgoing exactly when v has a one there.
     """
-    n = len(out)
-    plus, zero = _masks(out)
-    down = plus | (zero & v)
-    return tuple(PLUS if vertex_bit(down, i, n) else MINUS for i in range(n))
+    plus, zero = out
+    return plus | zero & v, 0
 
 
-def is_sw_pair(v: int, w: int, out_v: Sequence[int], out_w: Sequence[int]) -> bool:
+def is_sw_pair(v: int, w: int, out_v: Outmap, out_w: Outmap) -> bool:
     """v != w and the outmaps agree on every dimension where v and w differ (UV1)."""
-    (plus_v, zero_v), (plus_w, zero_w) = _masks(out_v), _masks(out_w)
+    (plus_v, zero_v), (plus_w, zero_w) = out_v, out_w
     return v != w and (v ^ w) & ((plus_v ^ plus_w) | (zero_v ^ zero_w)) == 0
 
 
@@ -84,23 +81,46 @@ def vertex_from_name(s: str, n: int) -> int:
     return int(s or "0", 2)
 
 
+def outmap_name(out: Outmap, n: int) -> str:
+    """The name of an outmap: per dimension '+' outgoing, '0' unoriented, '-' incoming."""
+    plus, zero = out
+    minus = ~(plus | zero)
+    return "".join([sign_char((plus >> k & 1) - (minus >> k & 1)) for k in range(n - 1, -1, -1)])
+
+
+def outmap_from_name(s: str) -> Outmap:
+    """The outmap named by a string of '+', '0' and '-', one per dimension."""
+    plus, minus = sign_masks(char_sign(c) for c in reversed(s))
+    return plus, ((1 << len(s)) - 1) & ~(plus | minus)
+
+
+def _is_outmap(row, n: int) -> bool:
+    """Two disjoint n-bit non-negative ints."""
+    return (
+        isinstance(row, tuple)
+        and len(row) == 2
+        and all(isinstance(x, int) and 0 <= x < 1 << n for x in row)
+        and not row[0] & row[1]
+    )
+
+
 class Orientation:
     """(Partial) orientation of the n-cube, dense table or query oracle."""
 
     def __init__(
         self,
         n: int,
-        table: Sequence[tuple[int, ...]] | None = None,
-        fn: Callable[[int], tuple[int, ...]] | None = None,
+        table: Sequence[Outmap] | None = None,
+        fn: Callable[[int], Outmap] | None = None,
     ):
         if (table is None) == (fn is None):
             raise ValueError("provide exactly one of table or fn")
         self.n = n
         if table is not None:
-            table = tuple(tuple(row) for row in table)
-            if len(table) != 1 << n or any(len(row) != n for row in table):
-                raise ValueError("table must hold one sign vector per vertex")
-            self._table: tuple[tuple[int, ...], ...] | None = table
+            table = tuple(table)
+            if len(table) != 1 << n or not all(_is_outmap(row, n) for row in table):
+                raise ValueError("table must hold one (plus, zero) mask pair per vertex")
+            self._table: tuple[Outmap, ...] | None = table
             self._fn = None
         else:
             self._table = None
@@ -109,17 +129,18 @@ class Orientation:
     @classmethod
     def from_outmaps(cls, outmaps: Sequence[str]) -> "Orientation":
         n = len(outmaps[0])
-        return cls(
-            n, table=[tuple(char_sign(c) for c in row) for row in outmaps]
-        )
+        table = [outmap_from_name(row) for row in outmaps]
+        if len(table) != 1 << n or any(len(row) != n for row in outmaps):
+            raise ValueError("table must hold one sign vector per vertex")
+        return cls(n, table=table)
 
     def to_outmaps(self) -> list[str]:
-        return ["".join(sign_char(s) for s in self.outmap(v)) for v in self.vertices()]
+        return [outmap_name(self.outmap(v), self.n) for v in self.vertices()]
 
-    def outmap(self, v: int) -> tuple[int, ...]:
+    def outmap(self, v: int) -> Outmap:
         if self._table is not None:
             return self._table[v]
-        return tuple(self._fn(v))
+        return self._fn(v)
 
     def vertices(self) -> range:
         return range(1 << self.n)
@@ -150,7 +171,7 @@ class Orientation:
         return Orientation(self.n, table=table)
 
     def is_total(self) -> bool:
-        return all(ZERO not in self.outmap(v) for v in self.vertices())
+        return not any(self.outmap(v)[1] for v in self.vertices())
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "outmaps": self.to_outmaps()}
@@ -166,23 +187,6 @@ class Orientation:
         if o.n != d.get("n", o.n):
             raise ValueError("dimension does not match outmap length")
         return o
-
-
-class CountingOracle:
-    """Caching wrapper; ``count`` is the number of distinct vertices evaluated."""
-
-    def __init__(self, fn: Callable[[int], tuple[int, ...]]):
-        self._fn = fn
-        self.cache: dict[int, tuple[int, ...]] = {}
-
-    def __call__(self, v: int) -> tuple[int, ...]:
-        if v not in self.cache:
-            self.cache[v] = tuple(self._fn(v))
-        return self.cache[v]
-
-    @property
-    def count(self) -> int:
-        return len(self.cache)
 
 
 @dataclass(frozen=True)
@@ -220,17 +224,14 @@ class Face:
         return all(vertex_bit(v, d, self.n) == b for d, b in self.fixed)
 
     def vertices(self) -> Iterator[int]:
-        base = 0
-        for d, b in self.fixed:
-            if b:
-                base |= 1 << (self.n - 1 - d)
+        base = sum(b << (self.n - 1 - d) for d, b in self.fixed)
         span = sorted(self.spanned)
-        for bits in itertools.product((0, 1), repeat=len(span)):
-            v = base
-            for d, b in zip(span, bits):
-                if b:
-                    v |= 1 << (self.n - 1 - d)
-            yield v
+        return (base | embed(p, span, self.n) for p in range(1 << len(span)))
+
+    @property
+    def fixed_mask(self) -> int:
+        """The mask of the fixed dimensions, in vertex bit order."""
+        return sum(1 << (self.n - 1 - d) for d, _ in self.fixed)
 
     def fix_dim(self, i: int, bit: int) -> "Face":
         if i not in self.spanned:
@@ -248,11 +249,12 @@ def _vertex_sets(o: Orientation) -> tuple[list[int], list[int]]:
     n = o.n
     plus, zero = [0] * n, [0] * n
     for v in o.vertices():
-        for i, s in enumerate(o.outmap(v)):
-            if s == PLUS:
-                plus[n - 1 - i] |= 1 << v
-            elif s == ZERO:
-                zero[n - 1 - i] |= 1 << v
+        p, z = o.outmap(v)
+        for b in range(n):
+            if p >> b & 1:
+                plus[b] |= 1 << v
+            elif z >> b & 1:
+                zero[b] |= 1 << v
     return plus, zero
 
 
@@ -310,7 +312,7 @@ def is_uso_exhaustive(o: Orientation) -> bool:
     That holds iff no pair fails the Szabo-Welzl condition once half-edges
     that do not come in count as outgoing; the fold stops at a failure.
     """
-    check(o.n, USO_EXHAUSTIVE_DIM, "cube dimension")
+    check(o.n, OMCP_SCAN_DIM, "cube dimension")
     plus, zero = _vertex_sets(o)
     outgoing = [p | z for p, z in zip(plus, zero)]
     return next(_sw_pairs(o.n, outgoing, [0] * o.n), None) is None
@@ -333,20 +335,20 @@ def complete_downward(o: Orientation) -> Orientation:
 def unoriented_faces(o: Orientation) -> list[Face]:
     """Maximal unoriented faces; validates they are disjoint hypervertices.
 
-    Every vertex with zero entries spans a face along its zero dimensions;
-    all vertices of that face must share the identical sign vector (same
-    zeros, same orientation toward the rest of the cube), otherwise the
-    input was not produced by the complementarity reduction and a
-    ValueError is raised.
+    Every vertex with unoriented half-edges spans a face along those
+    dimensions; all vertices of that face must share the identical outmap
+    (same unoriented dimensions, same orientation toward the rest of the
+    cube), otherwise the input was not produced by the complementarity
+    reduction and a ValueError is raised.
     """
     n = o.n
     maps = [o.outmap(v) for v in o.vertices()]
     faces: dict[Face, int] = {}
     for v in o.vertices():
-        zero_dims = frozenset(i for i in range(n) if maps[v][i] == ZERO)
-        if not zero_dims:
+        zero = maps[v][1]
+        if not zero:
             continue
-        face = Face.of_vertex_span(v, n, zero_dims)
+        face = Face.of_vertex_span(v, n, (i for i in range(n) if vertex_bit(zero, i, n)))
         if face in faces:
             continue
         for w in face.vertices():
@@ -360,21 +362,15 @@ def unoriented_faces(o: Orientation) -> list[Face]:
 
 def is_hypervertex(o: Orientation, face: Face) -> bool:
     """All face vertices orient identically toward the non-spanned dimensions."""
-    outside = [i for i in range(face.n) if i not in face.spanned]
-    reference = None
-    for v in face.vertices():
-        signature = tuple(o.outmap(v)[i] for i in outside)
-        if reference is None:
-            reference = signature
-        elif signature != reference:
-            return False
-    return True
+    outside = face.fixed_mask
+    maps = {o.outmap(v) for v in face.vertices()}
+    return len({(plus & outside, zero & outside) for plus, zero in maps}) == 1
 
 
 def refill_hypervertex(o: Orientation, face: Face, inner: Orientation) -> Orientation:
     """Replace the interior orientation of a hypervertex face.
 
-    The spanned dimensions of each face vertex take their signs from
+    The spanned dimensions of each face vertex take their half-edges from
     ``inner`` at the projected vertex; everything else is unchanged.
     """
     if inner.n != face.dim:
@@ -382,18 +378,20 @@ def refill_hypervertex(o: Orientation, face: Face, inner: Orientation) -> Orient
     if not is_hypervertex(o, face):
         raise ValueError("face is not a hypervertex")
     n = o.n
-    span = sorted(face.spanned)
-    table = [list(o.outmap(v)) for v in o.vertices()]
+    span, outside = sorted(face.spanned), face.fixed_mask
+    table = [o.outmap(v) for v in o.vertices()]
     for v in face.vertices():
-        inner_map = inner.outmap(face.project(v))
-        for k, d in enumerate(span):
-            table[v][d] = inner_map[k]
-    return Orientation(n, table=[tuple(row) for row in table])
+        (plus, zero), (inner_plus, inner_zero) = table[v], inner.outmap(face.project(v))
+        table[v] = (
+            plus & outside | embed(inner_plus, span, n),
+            zero & outside | embed(inner_zero, span, n),
+        )
+    return Orientation(n, table=table)
 
 
 def source_vertex(o: Orientation) -> int:
     for v in o.vertices():
-        if all(s == PLUS for s in o.outmap(v)):
+        if o.outmap(v)[0] == (1 << o.n) - 1:
             return v
     raise ValueError("orientation has no source")
 
@@ -413,6 +411,7 @@ def holt_klee_value(o: Orientation) -> int:
     n = o.n
     if n == 0:
         raise ValueError("Holt-Klee value needs n >= 1: a 0-cube's source is its sink")
+    check(n, HOLT_KLEE_DIM, "cube dimension")
     if not is_uso_exhaustive(o):
         raise ValueError("Holt-Klee value is defined for USOs")
     src, snk = source_vertex(o), sink_vertex(o)
@@ -424,8 +423,9 @@ def holt_klee_value(o: Orientation) -> int:
     for v in o.vertices():
         if v not in (src, snk):
             graph.add_edge(("in", v), ("out", v), capacity=1)
-        for i, s in enumerate(o.outmap(v)):
-            if s == PLUS:
+        plus = o.outmap(v)[0]
+        for i in range(n):
+            if vertex_bit(plus, i, n):
                 w = flip_vertex(v, i, n)
                 graph.add_edge(node(v, "out"), node(w, "in"), capacity=1)
     return nx.maximum_flow_value(graph, "s", "t")
@@ -434,20 +434,20 @@ def holt_klee_value(o: Orientation) -> int:
 # -- sink-finding algorithms ------------------------------------------------
 
 
-def ordered_scan(query: Callable[[int], tuple[int, ...]], n: int) -> int:
+def ordered_scan(query: Callable[[int], Outmap], n: int) -> int:
     for v in range(1 << n):
-        if all(s == MINUS for s in query(v)):
+        if query(v) == (0, 0):
             return v
     raise ValueError("orientation has no sink")
 
 
-def jump_with_fallback(query: Callable[[int], tuple[int, ...]], n: int) -> int:
+def jump_with_fallback(query: Callable[[int], Outmap], n: int) -> int:
     """Repeat v <- v xor outmap(v); on a revisit fall back to ordered scan."""
     visited: set[int] = set()
     v = 0
     while v not in visited:
         visited.add(v)
-        plus, zero = _masks(query(v))
+        plus, zero = query(v)
         if not plus | zero:
             return v
         v ^= plus
@@ -464,11 +464,11 @@ def sink_find(algo, o: Orientation) -> tuple[int, int]:
     """Run a deterministic sink-finding algorithm; returns (sink, query count)."""
     if isinstance(algo, str):
         algo = ALGORITHMS[algo]
-    counter = CountingOracle(o.outmap)
+    counter = functools.cache(o.outmap)  # counts distinct vertices evaluated
     v = algo(counter, o.n)
-    if any(s != MINUS for s in counter(v)):
+    if counter(v) != (0, 0):
         raise RuntimeError("algorithm returned a non-sink")
-    return v, counter.count
+    return v, counter.cache_info().currsize
 
 
 def enumerate_usos(n: int) -> list[Orientation]:
@@ -476,21 +476,18 @@ def enumerate_usos(n: int) -> list[Orientation]:
     if not 0 <= n <= 3:
         raise ValueError(f"enumeration needs n in 0..3, got n={n}")
     edges = [
-        (v, i)
+        (v, 1 << (n - 1 - i))
         for v in range(1 << n)
         for i in range(n)
         if not vertex_bit(v, i, n)
     ]
     result = []
     for assignment in range(1 << len(edges)):
-        table = [[ZERO] * n for _ in range(1 << n)]
-        for k, (v, i) in enumerate(edges):
-            w = flip_vertex(v, i, n)
-            if assignment >> k & 1:
-                table[v][i], table[w][i] = PLUS, MINUS  # edge points upward
-            else:
-                table[v][i], table[w][i] = MINUS, PLUS
-        o = Orientation(n, table=[tuple(r) for r in table])
+        plus = [0] * (1 << n)
+        for k, (v, bit) in enumerate(edges):
+            # the edge points upward, away from v, when bit k is set
+            plus[v if assignment >> k & 1 else v | bit] |= bit
+        o = Orientation(n, table=[(p, 0) for p in plus])
         if is_uso_exhaustive(o):
             result.append(o)
     return result
@@ -504,11 +501,8 @@ def all_down_orientation(n: int) -> Orientation:
 def mirrored_down_orientation(n: int, flip_dims: Iterable[int]) -> Orientation:
     """All-down after mirroring the given coordinates; still a USO.
 
-    Vertex v takes the downward completion of an all-unoriented outmap at
-    its mirror image ``v ^ flips``.
+    Vertex v points along every dimension where its mirror image
+    ``v ^ flips`` has a one, toward the mirrored all-down sink ``flips``.
     """
     flips = sum(flip_vertex(0, i, n) for i in set(flip_dims))
-    unoriented = (ZERO,) * n
-    return Orientation(
-        n, table=[downward_outmap(v ^ flips, unoriented) for v in range(1 << n)]
-    )
+    return Orientation(n, table=[(v ^ flips, 0) for v in range(1 << n)])

@@ -11,13 +11,14 @@ from __future__ import annotations
 import os
 
 # Defaults: ground-set size for cocircuit enumeration over all bases, cube
-# dimension for exhaustive face checks, cube dimension for sink-finding
+# dimension for the Holt-Klee max flow, cube dimension for sink-finding
 # games, matrix columns for circuit enumeration over all bases of a
 # realization, and the dimension n of every other 2^n scan: complementary
 # sets (OMCP solve, degeneracy, basis checks), principal minors (P-matrix
-# check) and the vertices of a materialized cube orientation.
+# check), the vertices of a materialized cube orientation and the
+# exhaustive USO check.
 DUALITY_ELEMENTS = 12
-USO_EXHAUSTIVE_DIM = 4
+HOLT_KLEE_DIM = 4
 GAME_DIM = 6
 MATRIX_COLUMNS = 14
 OMCP_SCAN_DIM = 16

@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from . import linalg
-from .cube import Orientation, vertex_bits
+from .cube import Orientation, Outmap, vertex_bits
 from .guards import OMCP_SCAN_DIM, check
 from .realize import RationalMatrix, RealizedOM, Vector, hstack, parse_vector
-from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
+from .signs import GroundSet, SignedSet, sign_masks
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def is_lcp_solution(m: RationalMatrix, q: Vector, w: Vector, z: Vector) -> bool:
     )
 
 
-def plcp_orientation(m: RationalMatrix, q: Vector, v: int) -> tuple[int, ...]:
-    """Half-edge signs at vertex v from the basic-solution signs at B(v).
+def plcp_orientation(m: RationalMatrix, q: Vector, v: int) -> Outmap:
+    """Outmap (plus, zero) of vertex v from the basic-solution signs at B(v).
 
     A positive basic value gives an incoming half-edge, a negative one an
     outgoing half-edge; degenerate (zero) basic values stay unoriented.
@@ -115,9 +115,10 @@ def plcp_orientation(m: RationalMatrix, q: Vector, v: int) -> tuple[int, ...]:
     solution = basic_solution(m, q, basis)
     if solution is None:
         raise ValueError(f"basis at vertex {v:0{n}b} is singular")
-    # the non-basic variable of each index is 0, so w_i + z_i is the basic value
-    values = [a + b for a, b in zip(*solution)]
-    return tuple(MINUS if x > 0 else (PLUS if x < 0 else ZERO) for x in values)
+    # the non-basic variable of each index is 0, so w_i + z_i is the basic value;
+    # reversed, index i lands on vertex bit n - 1 - i
+    positive, negative = sign_masks(reversed([a + b for a, b in zip(*solution)]))
+    return negative, ((1 << n) - 1) & ~(positive | negative)
 
 
 def plcp_ppu(m: RationalMatrix, q: Vector) -> Orientation:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .cube import is_sw_pair, vertex_bits, vertex_from_name, vertex_name
 from .guards import OMCP_SCAN_DIM, check
 from .om import NotABasis
-from .signs import MINUS, PLUS, ZERO, GroundSet, SignedSet
+from .signs import PLUS, ZERO, GroundSet, SignedSet
 
 
 # -- certificates ---------------------------------------------------------
@@ -149,6 +149,9 @@ class PMatroidCheck:
     is_p: bool
     s_is_basis: bool
     sign_reversing: SignedSet | None
+
+    def __bool__(self) -> bool:
+        return self.is_p
 
 
 def is_p_matroid(om) -> PMatroidCheck:
@@ -299,7 +302,7 @@ def verify_mv3(cert: MV3, oracle) -> bool:
 
 
 def verify_u1(cert: U1, orientation) -> bool:
-    return cert.n == orientation.n and all(s == MINUS for s in orientation.outmap(cert.vertex))
+    return cert.n == orientation.n and orientation.outmap(cert.vertex) == (0, 0)
 
 
 def verify_uv1(cert: UV1, orientation) -> bool:

@@ -1,10 +1,11 @@
 """From complementarity instances to cube orientations and back.
 
 Vertex v of the n-cube names the complementary basis B(v) that picks s_i
-when v_i = 0 and t_i when v_i = 1.  The orientation of v is read off the
-fundamental circuit C(B(v), q), in three cases:
+when v_i = 0 and t_i when v_i = 1.  The outmap of v, the mask pair
+``(plus, zero)`` of :mod:`omcp.cube`, is read off the fundamental circuit
+C(B(v), q), in three cases:
 
-1. B(v) is not a basis: make v a sink (all half-edges incoming).
+1. B(v) is not a basis: make v a sink, ``(0, 0)``.
 2. The entry at the basis element of dimension i vanishes: orient the
    degenerate half-edge downward (incoming for v_i = 0, outgoing for
    v_i = 1), which is exactly the downward completion of the partial rule.
@@ -19,10 +20,10 @@ solution and violation certificates of the complementarity instance.
 
 from __future__ import annotations
 
-from .cube import Orientation, downward_outmap, is_sw_pair, vertex_bit, vertex_bits
+from .cube import Orientation, Outmap, downward_outmap, is_sw_pair, vertex_bits
 from .om import NotABasis
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
-from .signs import MINUS, GroundSet
+from .signs import GroundSet
 
 
 def vertex_basis(oracle_ground: GroundSet, v: int, n: int) -> frozenset[str]:
@@ -33,27 +34,33 @@ def _query(oracle, v: int, n: int):
     """(B(v), C(B(v), q) or NotABasis, partial outmap or None): one query for v.
 
     The half-edge of dimension i carries the negated entry of C(B(v), q)
-    at the basis element of that dimension; the outmap is None when B(v)
-    is not a basis.
+    at the basis element of that dimension, which is ground bit i + n * v_i
+    in the order s_1..s_n, t_1..t_n, q that every complementary ground set
+    keeps.  The outmap is None when B(v) is not a basis.
     """
     ground: GroundSet = oracle.ground
     basis = vertex_basis(ground, v, n)
     answer = oracle.query(basis, ground.q)
     if isinstance(answer, NotABasis):
         return basis, answer, None
-    out = tuple(-answer.sign_of(ground.pair(i)[vertex_bit(v, i, n)]) for i in range(n))
-    return basis, answer, out
+    neg, support = answer.neg_mask, answer.support_mask
+    plus = zero = 0
+    for i in range(n):
+        k = i + n * (v >> (n - 1 - i) & 1)
+        plus = plus << 1 | neg >> k & 1
+        zero = zero << 1 | (support >> k & 1 ^ 1)
+    return basis, answer, (plus, zero)
 
 
-def _total(v: int, out, n: int) -> tuple[int, ...]:
-    return (MINUS,) * n if out is None else downward_outmap(v, out)
+def _total(v: int, out: Outmap | None) -> Outmap:
+    return (0, 0) if out is None else downward_outmap(v, out)
 
 
-def orient_vertex_total(oracle, v: int, n: int) -> tuple[int, ...]:
-    return _total(v, _query(oracle, v, n)[2], n)
+def orient_vertex_total(oracle, v: int, n: int) -> Outmap:
+    return _total(v, _query(oracle, v, n)[2])
 
 
-def orient_vertex_partial(oracle, v: int, n: int) -> tuple[int, ...]:
+def orient_vertex_partial(oracle, v: int, n: int) -> Outmap:
     basis, _, out = _query(oracle, v, n)
     if out is None:
         raise ValueError(f"complementary set {sorted(basis)} is not a basis")
@@ -70,7 +77,7 @@ def klaus_orientation(oracle, n: int, partial: bool = False) -> Orientation:
 def map_back_sink(oracle, v: int, n: int) -> M1 | MV2:
     """Sink of the derived orientation -> M1 solution, or MV2 on a missing basis."""
     basis, answer, out = _query(oracle, v, n)
-    if any(s != MINUS for s in _total(v, out, n)):
+    if _total(v, out) != (0, 0):
         raise ValueError("vertex is not a sink of the derived orientation")
     if out is None:
         return MV2(basis)
@@ -84,7 +91,7 @@ def map_back_uv1(oracle, v: int, w: int, n: int) -> MV3 | MV2:
     if v == w:
         raise ValueError("violation pair must be distinct")
     (bv, x, ov), (bw, y, ow) = _query(oracle, v, n), _query(oracle, w, n)
-    if not is_sw_pair(v, w, _total(v, ov, n), _total(w, ow, n)):
+    if not is_sw_pair(v, w, _total(v, ov), _total(w, ow)):
         raise ValueError("pair is not a Szabo-Welzl violation of the derived orientation")
     for basis, out in ((bv, ov), (bw, ow)):
         if out is None:

@@ -232,5 +232,8 @@ class SignedSet:
         """Restriction onto a ground set whose elements are a subset of ours."""
         return SignedSet.from_signs(ground, [self.sign_of(name) for name in ground.elements])
 
+    def __hash__(self) -> int:  # the masks only: rehashing the ground set costs 10x more
+        return hash((self.pos_mask, self.neg_mask))
+
     def __repr__(self) -> str:
         return f"SignedSet({self.encode()!r})"

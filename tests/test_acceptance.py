@@ -20,6 +20,7 @@ from omcp.cube import (
     is_partially_sw,
     is_uso_exhaustive,
     mirrored_down_orientation,
+    outmap_name,
     refill_hypervertex,
     sink_vertex,
     unoriented_faces,
@@ -49,7 +50,7 @@ from omcp.realize import (
     plcp_matrix,
 )
 from omcp.reduction import klaus_orientation, map_back_sink, map_back_uv1
-from omcp.signs import MINUS, ZERO, GroundSet, SignedSet
+from omcp.signs import MINUS, GroundSet, SignedSet
 
 from conftest import (
     EXT_CIRCUITS,
@@ -168,12 +169,12 @@ def test_criterion_4_lexicographic_structure():
                 assert dict(face.fixed) == {i: 1}
                 assert face.spanned == frozenset(d for d in range(n) if d != i)
                 for v in ppu.vertices():
-                    out = ppu.outmap(v)
+                    out = outmap_name(ppu.outmap(v), n)
                     if face.contains(v):
-                        assert out[i] == MINUS  # hypersink: incoming edges only
-                        assert all(out[d] == ZERO for d in face.spanned)
+                        assert out[i] == "-"  # hypersink: incoming edges only
+                        assert all(out[d] == "0" for d in face.spanned)
                     else:
-                        assert ZERO not in out
+                        assert "0" not in out
 
 
 def test_criterion_5_lower_bound():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import omcp
 from omcp.cube import (
-    CountingOracle,
     Face,
     Orientation,
     all_down_orientation,
@@ -25,6 +24,8 @@ from omcp.cube import (
     jump_with_fallback,
     mirrored_down_orientation,
     ordered_scan,
+    outmap_from_name,
+    outmap_name,
     refill_hypervertex,
     sink_find,
     sink_vertex,
@@ -34,22 +35,22 @@ from omcp.cube import (
     vertex_from_name,
     vertex_name,
 )
-from omcp.guards import SizeGuardError
-from omcp.signs import MINUS, PLUS, ZERO
+from omcp.guards import OMCP_SCAN_DIM, SizeGuardError
+
+
+def edge_table(n, upward):
+    """The total orientation whose k-th edge points up iff ``upward[k]``."""
+    edges = [(v, i) for v in range(1 << n) for i in range(n) if not vertex_bit(v, i, n)]
+    plus = [0] * (1 << n)
+    for up, (v, i) in zip(upward, edges):
+        plus[v if up else flip_vertex(v, i, n)] |= flip_vertex(0, i, n)
+    return Orientation(n, table=[(p, 0) for p in plus])
 
 
 def edge_consistent_orientations(n):
     """All orientations where the two half-edges of every edge agree."""
-    edges = [(v, i) for v in range(1 << n) for i in range(n) if not vertex_bit(v, i, n)]
-    for assignment in itertools.product((0, 1), repeat=len(edges)):
-        table = [[ZERO] * n for _ in range(1 << n)]
-        for bit, (v, i) in zip(assignment, edges):
-            w = flip_vertex(v, i, n)
-            if bit:
-                table[v][i], table[w][i] = PLUS, MINUS
-            else:
-                table[v][i], table[w][i] = MINUS, PLUS
-        yield Orientation(n, table=[tuple(r) for r in table])
+    for upward in itertools.product((0, 1), repeat=n << (n - 1)):
+        yield edge_table(n, upward)
 
 
 def test_vertex_encoding():
@@ -102,15 +103,7 @@ def test_sw_matches_exhaustive_on_all_consistent_orientations():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 12 - 1))
 def test_sw_matches_exhaustive_sampled_n3(assignment):
-    edges = [(v, i) for v in range(8) for i in range(3) if not vertex_bit(v, i, 3)]
-    table = [[ZERO] * 3 for _ in range(8)]
-    for k, (v, i) in enumerate(edges):
-        w = flip_vertex(v, i, 3)
-        if assignment >> k & 1:
-            table[v][i], table[w][i] = PLUS, MINUS
-        else:
-            table[v][i], table[w][i] = MINUS, PLUS
-    o = Orientation(3, table=[tuple(r) for r in table])
+    o = edge_table(3, [assignment >> k & 1 for k in range(12)])
     assert (find_sw_violation(o) is None) == is_uso_exhaustive(o)
 
 
@@ -132,7 +125,7 @@ def test_partially_sw():
 
 def test_complete_downward():
     one = complete_downward(Orientation.from_outmaps(["0", "0"]))
-    assert one.outmap(1) == (PLUS,) and one.outmap(0) == (MINUS,)
+    assert outmap_name(one.outmap(1), 1) == "+" and outmap_name(one.outmap(0), 1) == "-"
     assert sink_vertex(one) == 0
     total = all_down_orientation(2)
     assert complete_downward(total).to_outmaps() == total.to_outmaps()
@@ -230,12 +223,8 @@ def test_holt_klee_invariance_under_relabeling():
     assert holt_klee_value(mirrored) == holt_klee_value(o)
     # relabel dimensions of an arbitrary USO
     base = enumerate_usos(2)[5]
-    swapped = Orientation(
-        2,
-        table=[
-            tuple(reversed(base.outmap((v >> 1) | ((v & 1) << 1))))
-            for v in range(4)
-        ],
+    swapped = Orientation.from_outmaps(
+        [outmap_name(base.outmap((v >> 1) | ((v & 1) << 1)), 2)[::-1] for v in range(4)]
     )
     assert holt_klee_value(swapped) == holt_klee_value(base)
 
@@ -280,9 +269,33 @@ def test_enumerate_guard():
 
 
 def test_exhaustive_guard():
-    o = Orientation(5, fn=lambda v: (MINUS,) * 5)
+    n = OMCP_SCAN_DIM + 1
+    o = Orientation(n, fn=lambda v: (0, 0))
     with pytest.raises(SizeGuardError):
         is_uso_exhaustive(o)
+
+
+def test_outmap_names_round_trip():
+    assert outmap_name((0b100, 0b010), 3) == "+0-"
+    assert outmap_from_name("+0-") == (0b100, 0b010)
+    assert outmap_name((0, 0), 0) == "" and outmap_from_name("") == (0, 0)
+    with pytest.raises(ValueError, match="not a sign character"):
+        outmap_from_name("+x")
+
+
+@pytest.mark.parametrize(
+    "row", [(1,), (1, 0, 0), (2, 0), (0, 2), (-1, 0), (1, 1), [1, 0], "+-", 1, (1.0, 0)]
+)
+def test_orientation_rejects_malformed_rows(row):
+    with pytest.raises(ValueError):
+        Orientation(1, table=[(0, 0), row])
+
+
+def test_lazy_jump_at_n40():
+    # mirrored all-down: every half-edge points toward the sink
+    n, sink = 40, 0b1011 << 30
+    o = Orientation(n, fn=lambda v: (v ^ sink, 0))
+    assert sink_find("jump", o) == (sink, 2)
 
 
 def test_json_roundtrip():

@@ -2,7 +2,8 @@
 
 The references below read vertex coordinates from binary strings and
 compare outmaps one sign at a time, so they share no code with
-``omcp.cube``.  Random tables cover total and partial orientations up to
+``omcp.cube``; their sign-tuple tables reach an ``Orientation`` only
+through its sign strings (``ref_orientation``, ``ref_maps``).  Random tables cover total and partial orientations up to
 n = 6, and up to n = 4 for the USO check under its guard: independent
 signs per half-edge, edge-consistent orientations, and mirrored all-down
 orientations with one face left unoriented (these are partially
@@ -28,6 +29,16 @@ from omcp.cube import (
     mirrored_down_orientation,
 )
 from omcp.pmatroid import UV1, verify_uv1
+
+
+def ref_orientation(n, maps):
+    """The Orientation of a sign-tuple table, through its sign strings."""
+    return Orientation.from_outmaps(["".join("-0+"[s + 1] for s in row) for row in maps])
+
+
+def ref_maps(o):
+    """The sign-tuple table of an Orientation, read back from its sign strings."""
+    return [tuple("-0+".index(c) - 1 for c in row) for row in o.to_outmaps()]
 
 
 def ref_bits(v, n):
@@ -143,15 +154,11 @@ def face_unoriented_tables(draw, max_n):
     n = draw(st.integers(1, max_n))
     flips = draw(st.sets(st.integers(0, n - 1)))
     pattern = draw(st.lists(st.sampled_from("01*"), min_size=n, max_size=n))
-    table = [list(r) for r in mirrored_down_orientation(n, flips).to_outmaps()]
     rows = []
-    for v, row in enumerate(table):
+    for v, row in enumerate(ref_maps(mirrored_down_orientation(n, flips))):
         bits = format(v, f"0{n}b")
         inside = all(p == "*" or p == b for p, b in zip(pattern, bits))
-        rows.append(tuple(
-            0 if inside and p == "*" else (1 if c == "+" else -1)
-            for c, p in zip(row, pattern)
-        ))
+        rows.append(tuple(0 if inside and p == "*" else s for s, p in zip(row, pattern)))
     return n, rows
 
 
@@ -174,14 +181,14 @@ TOTAL, PARTIAL = total_tables(6), partial_tables(6)
 @given(TOTAL)
 def test_find_sw_violation_matches_reference(case):
     n, maps = case
-    assert find_sw_violation(Orientation(n, table=maps)) == ref_find_sw_violation(maps, n)
+    assert find_sw_violation(ref_orientation(n, maps)) == ref_find_sw_violation(maps, n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(PARTIAL)
 def test_find_sw_violation_rejects_partial_tables(case):
     n, maps = case
-    o = Orientation(n, table=maps)
+    o = ref_orientation(n, maps)
     if any(0 in row for row in maps):
         with pytest.raises(ValueError):
             find_sw_violation(o)
@@ -194,14 +201,14 @@ def test_find_sw_violation_rejects_partial_tables(case):
 def test_is_partially_sw_matches_reference_with_witness(case):
     n, maps = case
     witness = ref_partial_witness(maps, n)
-    assert is_partially_sw(Orientation(n, table=maps)) == (witness is None, witness)
+    assert is_partially_sw(ref_orientation(n, maps)) == (witness is None, witness)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(TOTAL, PARTIAL), st.data())
 def test_verify_uv1_matches_reference(case, data):
     n, maps = case
-    o = Orientation(n, table=maps)
+    o = ref_orientation(n, maps)
     v = data.draw(st.integers(0, (1 << n) - 1))
     w = data.draw(st.integers(0, (1 << n) - 1))
     assert verify_uv1(UV1(n, v, w), o) == ref_sw_pair(maps, v, w, n)
@@ -214,20 +221,20 @@ def test_verify_uv1_matches_reference(case, data):
 @given(PARTIAL)
 def test_complete_downward_matches_reference(case):
     n, maps = case
-    o = Orientation(n, table=maps)
+    o = ref_orientation(n, maps)
     if ref_partial_witness(maps, n) is not None:
         with pytest.raises(ValueError):
             complete_downward(o)
     else:
         completed = complete_downward(o)
-        assert [completed.outmap(v) for v in o.vertices()] == ref_downward(maps, n)
+        assert ref_maps(completed) == ref_downward(maps, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_witnesses_match_reference_on_every_small_table(n):
     rows = list(itertools.product((-1, 0, 1), repeat=n))
     for maps in itertools.product(rows, repeat=1 << n):
-        o = Orientation(n, table=maps)
+        o = ref_orientation(n, maps)
         witness = ref_partial_witness(maps, n)
         assert is_partially_sw(o) == (witness is None, witness), maps
         if any(0 in row for row in maps):
@@ -241,7 +248,7 @@ def test_witnesses_match_reference_on_every_small_table(n):
 def test_is_uso_matches_reference_on_every_small_table(n):
     rows = list(itertools.product((-1, 0, 1), repeat=n))
     for maps in itertools.product(rows, repeat=1 << n):
-        assert is_uso_exhaustive(Orientation(n, table=maps)) == ref_is_uso(maps, n), maps
+        assert is_uso_exhaustive(ref_orientation(n, maps)) == ref_is_uso(maps, n), maps
 
 
 def test_is_uso_matches_reference_on_the_3_cube():
@@ -249,14 +256,14 @@ def test_is_uso_matches_reference_on_the_3_cube():
     for upward in range(1 << len(ref_edges(3))):
         maps = ref_edge_table(3, upward)
         uso = ref_is_uso(maps, 3)
-        assert is_uso_exhaustive(Orientation(3, table=maps)) == uso, maps
+        assert is_uso_exhaustive(ref_orientation(3, maps)) == uso, maps
         if uso:
             usos.append(upward)
     assert len(usos) == 744
     for upward in usos:
         for k in range(len(ref_edges(3))):
             maps = ref_edge_table(3, upward ^ 1 << k)
-            assert is_uso_exhaustive(Orientation(3, table=maps)) == ref_is_uso(maps, 3), maps
+            assert is_uso_exhaustive(ref_orientation(3, maps)) == ref_is_uso(maps, 3), maps
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -264,7 +271,7 @@ def test_is_uso_matches_reference_on_mirrored_down(n):
     for r in range(n + 1):
         for flips in itertools.combinations(range(n), r):
             o = mirrored_down_orientation(n, flips)
-            maps = [o.outmap(v) for v in o.vertices()]
+            maps = ref_maps(o)
             assert ref_is_uso(maps, n) and is_uso_exhaustive(o)
 
 
@@ -272,4 +279,4 @@ def test_is_uso_matches_reference_on_mirrored_down(n):
 @given(st.one_of(total_tables(4), partial_tables(4)))
 def test_is_uso_matches_reference_on_random_tables(case):
     n, maps = case
-    assert is_uso_exhaustive(Orientation(n, table=maps)) == ref_is_uso(maps, n)
+    assert is_uso_exhaustive(ref_orientation(n, maps)) == ref_is_uso(maps, n)

@@ -9,7 +9,11 @@ environment: its ``OMCP_GUARD_OVERRIDE`` is the package's one setting
 outside the call arguments.  Only ``realize`` and ``plcp`` read a matrix
 through ``linalg``: every other module reaches a matrix through an oracle.
 Every name a library module imports is referenced in it.  A signed set
-is its two masks; only ``signs`` reads the derived ``.signs`` tuple.
+is its two masks; only ``signs`` reads the derived ``.signs`` tuple.  An
+outmap is its two masks ``(plus, zero)``; outside ``cube`` no library
+module subscripts, iterates or ``in``-tests what ``.outmap(``,
+``orient_vertex_total``, ``orient_vertex_partial`` or ``plcp_orientation``
+return, whether directly or through a name bound to it.
 """
 
 import ast
@@ -145,3 +149,61 @@ def test_only_signs_reads_the_sign_tuple():
         if isinstance(node, ast.Attribute) and node.attr == "signs"
     }
     assert sorted(readers - {"signs.py"}) == []
+
+
+OUTMAP_CALLS = {"outmap", "orient_vertex_total", "orient_vertex_partial", "plcp_orientation"}
+ITERATING_CALLS = {"all", "any", "enumerate", "iter", "list", "map", "reversed", "set", "sorted",
+                   "sum", "tuple", "zip"}
+
+
+def _callee(node) -> str | None:
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _outmap_reads(tree: ast.Module) -> list[int]:
+    """Lines that subscript, iterate or in-test an outmap, per function."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        bound = {
+            node.targets[0].id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and _callee(node.value) in OUTMAP_CALLS
+        }
+
+        def is_outmap(node) -> bool:
+            return _callee(node) in OUTMAP_CALLS or (
+                isinstance(node, ast.Name) and node.id in bound
+            )
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript):
+                read = [node.value]
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                read = [node.iter]
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
+            ):
+                read = node.comparators
+            elif _callee(node) in ITERATING_CALLS:
+                read = node.args
+            else:
+                read = []
+            found += [r.lineno for r in read if is_outmap(r)]
+    return sorted(set(found))
+
+
+def test_only_cube_reads_into_an_outmap():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cube.py"
+        for line in _outmap_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omcp.cube import complete_downward, is_uso_exhaustive
+from omcp.cube import complete_downward, is_uso_exhaustive, outmap_name
 from omcp.extend import ExtensionOM, lex_localization
 from omcp.plcp import (
     PlcpInstance,
@@ -18,7 +18,7 @@ from omcp.plcp import (
 )
 from omcp.realize import RationalMatrix, RealizedOM, hstack, negated, plcp_matrix
 from omcp.reduction import klaus_orientation
-from omcp.signs import MINUS, PLUS, ZERO, GroundSet
+from omcp.signs import MINUS, PLUS, GroundSet
 
 
 def fr(values):
@@ -59,9 +59,9 @@ def test_basic_solution_singular():
 
 def test_plcp_orientation_values():
     m = RationalMatrix.from_rows([[1]])
-    assert plcp_orientation(m, fr([1]), 0) == (MINUS,)
-    assert plcp_orientation(m, fr([0]), 0) == (ZERO,)
-    assert plcp_orientation(m, fr([0]), 1) == (ZERO,)
+    assert outmap_name(plcp_orientation(m, fr([1]), 0), 1) == "-"
+    assert outmap_name(plcp_orientation(m, fr([0]), 0), 1) == "0"
+    assert outmap_name(plcp_orientation(m, fr([0]), 1), 1) == "0"
     o = plcp_ppu(RationalMatrix.from_rows([[2, 0], [0, 3]]), fr([1, 1]))
     assert is_uso_exhaustive(complete_downward(o))
 
@@ -137,11 +137,14 @@ def test_localization_composition_matches_lexicographic_q():
         via_sigma = klaus_orientation(ExtensionOM(sigma1.compose(sigma2)), n, partial=True)
         for v in range(2**n):
             # q1 + eps*q2: each basic value takes its sign from q1 unless that is 0
-            lex = tuple(
-                a or b
-                for a, b in zip(plcp_orientation(m, q1, v), plcp_orientation(m, q2, v))
+            lex = "".join(
+                a if a != "0" else b
+                for a, b in zip(
+                    outmap_name(plcp_orientation(m, q1, v), n),
+                    outmap_name(plcp_orientation(m, q2, v), n),
+                )
             )
-            assert via_sigma.outmap(v) == lex, (n, v)
+            assert outmap_name(via_sigma.outmap(v), n) == lex, (n, v)
 
 
 def test_localization_from_q_matches_realized_extension():

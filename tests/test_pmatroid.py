@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from omcp.pmatroid import (
 from omcp.realize import RationalMatrix, RealizedOM, circuits_from_matrix, plcp_matrix
 from omcp.signs import GroundSet, SignedSet
 
+DATA = Path(__file__).parent / "data"
+
 
 def test_sign_reversing_search(pm, non_pm, ext):
     assert find_sign_reversing_circuit(pm) is None
@@ -52,6 +56,16 @@ def test_is_p_matroid(pm, non_pm):
     assert is_p_matroid(pm).is_p
     result = is_p_matroid(non_pm)
     assert not result.is_p and result.sign_reversing.encode() == "+-"
+
+
+def test_p_matroid_check_is_truthy_exactly_on_p_matroids():
+    data = json.loads((DATA / "lcp3_nonp.json").read_text(encoding="utf-8"))
+    m, q = RationalMatrix.from_rows(data["M"]), tuple(Fraction(v) for v in data["q"])
+    base = RealizedOM(plcp_matrix(m, q), GroundSet.complementary(3, with_q=True))
+    assert not bool(is_p_matroid(base.to_explicit().minor_delete("q")))
+    p_matrix = RationalMatrix.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 2]])
+    p_base = RealizedOM(plcp_matrix(p_matrix, q), GroundSet.complementary(3, with_q=True))
+    assert bool(is_p_matroid(p_base.to_explicit().minor_delete("q")))
 
 
 def test_is_p_matroid_diagonal_realization():

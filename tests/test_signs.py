@@ -143,6 +143,14 @@ def test_from_signs_and_decode_agree(a):
     assert decoded == x and hash(decoded) == hash(x)
 
 
+def test_equal_sets_on_distinct_equal_grounds_hash_equal_and_dedupe():
+    a, b = GroundSet.complementary(2, with_q=True), GroundSet.complementary(2, with_q=True)
+    assert a == b and a is not b
+    x, y = SignedSet.decode(a, "+-0-+"), SignedSet.decode(b, "+-0-+")
+    assert x == y and hash(x) == hash(y)
+    assert frozenset({x, y, x.negate(), y.negate()}) == {x, x.negate()}
+
+
 def test_signed_set_is_its_two_masks():
     assert [f.name for f in dataclasses.fields(SignedSet)] == ["ground", "pos_mask", "neg_mask"]
     x = ss("+-0")
