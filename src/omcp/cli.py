@@ -9,6 +9,7 @@ identical seeds produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -319,7 +320,10 @@ def cmd_lcp(args) -> int:
 NO_VALIDATE_HELP = "skip circuit-axiom and localization validation on load"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parsing keeps no state in the parser, so every call starts clean."""
     parser = argparse.ArgumentParser(
         prog="omcp",
         description="Oriented-matroid complementarity toolbox",

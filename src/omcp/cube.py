@@ -259,13 +259,18 @@ def _vertex_sets(o: Orientation) -> tuple[list[int], list[int]]:
 
 
 def _sw_pairs(n: int, plus: list[int], zero: list[int]) -> Iterator[tuple[int, int]]:
-    """The first failing pair (v, v ^ d) at each difference d != 0 that has one.
+    """The first failing pair (v, v ^ d) at each difference d != 0 that has
+    one, until no later difference can give a pair less than one yielded.
 
     v fails at d when v and v ^ d are not both unoriented on all of d and no
     dimension of d has both ends oriented and opposite: with no unoriented
     half-edge, the Szabo-Welzl pair condition.  The failing set is closed
     under v -> v ^ d, so its least v has v < v ^ d.  d walks the Gray code,
     and the sets permuted by v -> v ^ d follow by one block swap per step.
+    The Gray index k and its d have the same highest bit, so once a pair
+    (0, w) is out and k reaches 2^j > w, every later d is at least 2^j and
+    every later pair greater than (0, w): the walk stops there, and the
+    least pair yielded is the least failing pair.
     """
     full = (1 << (1 << n)) - 1
     # low[b]: the vertices whose bit b is 0, runs of 2^b ones and zeros
@@ -274,7 +279,10 @@ def _sw_pairs(n: int, plus: list[int], zero: list[int]) -> Iterator[tuple[int, i
     # moved[c] and moved[n + c]: plus[c] and zero[c] permuted by v -> v ^ d
     moved = plus + zero if partial else plus
     d = 0
+    stop = 1 << n
     for k in range(1, 1 << n):
+        if k == stop:
+            return
         b = (k & -k).bit_length() - 1
         d ^= 1 << b
         shift, m = 1 << b, low[b]
@@ -290,6 +298,8 @@ def _sw_pairs(n: int, plus: list[int], zero: list[int]) -> Iterator[tuple[int, i
         failing = full & ~(unoriented | split)
         if failing:
             v = (failing & -failing).bit_length() - 1
+            if v == 0:
+                stop = 1 << d.bit_length()
             yield v, v ^ d
 
 

@@ -1,23 +1,31 @@
 """Exact linear algebra on rational matrices: rank, determinant, solve, inverse, kernel.
 
 Every function runs the same fraction-free Gauss-Jordan elimination
-(Bareiss 1968) on integer rows.  Each row is first scaled by the lcm of
-its denominators; inside the loop every update is
-``(pivot * a - factor * b) // previous_pivot``, a division that is exact
-because each intermediate entry is a minor of the scaled matrix.  Python
-integers have arbitrary precision, so overflow is impossible and every
-sign decision is exact.  Fractions are built only for returned values.
+(Bareiss 1968) on integer rows, one basis exchange at a time.  Each row
+is first scaled by the lcm of its denominators; Python integers have
+arbitrary precision, so overflow is impossible and every sign decision
+is exact.  Fractions are built only for returned values.
 
-The loop body is one basis exchange, :func:`pivot`, and callers that keep
-an integer tableau T = D * B^-1 A reuse it to move to a neighbouring
-basis.  Exchanging the element of row i for the column c with
-p = T[i][c] != 0 gives T' = p * B'^-1 A with rows
-T'[r] = (p * T[r] - T[r][c] * T[i]) // D for r != i and T'[i] = T[i],
-and D' = p.  The division is exact for the same reason as in the
-elimination.  D = +-det B, so by Cramer's rule every entry
-T[r][c] = D * (B^-1 a_c)_r is, up to sign, the determinant of B with its
-r-th column replaced by a_c, an integer; p is then +-det B', and the
-entries of T' are integer minors in the same way (Edmonds 1967).
+The exchange, :func:`pivot`, works on a compact integer tableau: the
+principal pivot transform of Tucker (1963).  For a matrix A and a basis
+B of its columns, with the basis element of row i named by the caller,
+T = D * B^-1 A is kept only on the columns outside B, one slot each; the
+columns of B are D times unit vectors and carry nothing.  Exchanging the
+basis element of row r for the element in slot c, with p = T[r][c] != 0:
+
+- every row i != r becomes ``(p * T[i][j] - T[i][c] * T[r][j]) // D``;
+- slot c then holds the leaving element: D in row r and -T[i][c] in
+  every other row i;
+- D' = p.
+
+D = +-det B, so by Cramer's rule every entry T[i][j] = D * (B^-1 a_j)_i
+is, up to sign, the determinant of B with its i-th column replaced by
+a_j, an integer; p is then +-det B', the entries of T' are integer minors
+in the same way, and the division is exact (Edmonds 1967).  Elimination
+starts from the unit columns of the rows as the basis, with D = 1 and
+T = A, and exchanges them for columns of A; after that, the slots of the
+columns brought in hold D times the inverse of the scaled matrix they
+form, one unit column per slot.
 """
 
 from __future__ import annotations
@@ -37,63 +45,73 @@ def integer_multiple(values) -> tuple[int, list[int]]:
     return k, [v.numerator * (k // v.denominator) for v in values]
 
 
-def pivot(m: list[list[int]], r: int, c: int, prev: int) -> list[list[int]]:
-    """One fraction-free exchange step on the entry ``m[r][c]`` (non-zero).
+def pivot(t: list[list[int]], r: int, c: int, d: int) -> list[list[int]]:
+    """The compact exchange at row ``r`` and slot ``c`` of ``t`` (module docstring).
 
-    Every row i != r becomes ``(m[r][c] * m[i] - m[i][c] * m[r]) // prev``,
-    which clears column c outside row r; row r is kept.  ``prev`` is the
-    previous pivot, so the division is exact (module docstring).  Returns
-    a new list of rows; the rows of ``m`` are not modified.
+    ``t[r][c]`` must be non-zero and ``d`` is the tableau's D; the new D
+    is the old ``t[r][c]``.  Returns a new list of rows; the rows of
+    ``t`` are not modified, and a row the exchange leaves unchanged is
+    shared.
     """
-    prow = m[r]
-    pv = prow[c]
+    prow = t[r]
+    p = prow[c]
     out = []
-    for i, row in enumerate(m):
+    for i, row in enumerate(t):
         f = row[c]
-        if i != r and f != 0:
-            row = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
-        elif i != r and pv != prev:
-            row = [pv * a // prev for a in row]
+        if i == r:
+            if p != d:
+                row = row.copy()
+                row[c] = d
+        elif f != 0:
+            row = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            row[c] = -f
+        elif p != d:
+            row = [p * a // d for a in row]
         out.append(row)
     return out
 
 
-def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int]:
+def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int, list[int]]:
     """Fraction-free Gauss-Jordan elimination, pivoting in the first ``width`` columns.
 
-    Entries may be Fractions or ints.  Returns ``(m, pivots, d, den)``.
-    ``m`` is the reduced integer matrix; its k-th row holds the k-th
-    pivot, in column ``pivots[k]``.  Every pivot row has the entry ``d``
-    (the last pivot) at its own pivot column and 0 at the other pivot
-    columns, and the rows past ``len(pivots)`` are zero in the first
-    ``width`` columns.  For a square full-rank matrix,
-    ``det(rows) = d / den``: ``den`` is the product of the positive row
-    multipliers, negated for an odd number of row swaps.
+    Entries may be Fractions or ints.  Returns ``(t, pivots, d, den, order)``.
+    ``t`` is the compact tableau of the scaled rows after one
+    :func:`pivot` per pivot column; ``pivots`` lists those columns in
+    increasing order and ``d`` is the last pivot.  Rows are swapped so that
+    the k-th pivot column is the basis element of row k; ``order[i]`` is
+    the input row now at row i, and the slot of the k-th pivot column
+    holds the unit column of row ``order[k]``.  Every other column keeps
+    its slot;
+    below ``width`` it is zero in the rows past ``len(pivots)``.  For a
+    square full-rank matrix, ``det(rows) = d / den``: ``den`` is the
+    product of the positive row multipliers, negated for an odd number of
+    row swaps.
     """
-    m = []
+    t = []
     den = 1
     for row in rows:
         mult, ints = integer_multiple(row)
         den *= mult
-        m.append(ints)
-    n_rows = len(m)
+        t.append(ints)
+    n_rows = len(t)
+    order = list(range(n_rows))
     pivots: list[int] = []
-    prev = 1
+    d = 1
     r = 0
     for c in range(width):
         if r == n_rows:
             break
-        p = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        p = next((i for i in range(r, n_rows) if t[i][c] != 0), None)
         if p is None:
             continue
         if p != r:
-            m[r], m[p] = m[p], m[r]
+            t[r], t[p] = t[p], t[r]
+            order[r], order[p] = order[p], order[r]
             den = -den
-        m = pivot(m, r, c, prev)
+        d, t = t[r][c], pivot(t, r, c, d)
         pivots.append(c)
-        prev = m[r][c]
         r += 1
-    return m, pivots, prev, den
+    return t, pivots, d, den, order
 
 
 def pivot_columns(rows: Matrix) -> list[int]:
@@ -111,7 +129,7 @@ def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, den = _eliminate(rows, n)
+    _, pivots, d, den, _ = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(d, den)
@@ -120,10 +138,10 @@ def det(rows: Matrix) -> Fraction:
 def solve(rows: Matrix, b: Row) -> Row | None:
     """Solve the square system A x = b; None when A is singular."""
     n = len(rows)
-    m, pivots, d, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
+    t, pivots, d, _, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
     if len(pivots) < n:
         return None
-    return [Fraction(m[i][n], d) for i in range(n)]
+    return [Fraction(t[i][n], d) for i in range(n)]
 
 
 def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
@@ -132,15 +150,17 @@ def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
     Returns ``(d, N)`` with a non-zero integer ``d`` and an integer
     matrix ``N`` such that the inverse is ``N / d``.  ``d`` may be
     negative, so the sign of an entry of the inverse times ``x`` is
-    ``sign(d) * sign(N x)``.
+    ``sign(d) * sign(N x)``.  The elimination runs on the matrix itself:
+    afterwards the slot of column k holds d times column ``order[k]`` of
+    the inverse, divided by the multiplier of input row ``order[k]``.
     """
     n = len(rows)
-    m, pivots, d, _ = _eliminate(
-        [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)], n
-    )
+    t, pivots, d, _, order = _eliminate(rows, n)
     if len(pivots) < n:
         return None
-    return d, [row[n:] for row in m]
+    slot = sorted(range(n), key=order.__getitem__)
+    mults = [integer_multiple(row)[0] for row in rows]
+    return d, [[row[slot[i]] * mults[i] for i in range(n)] for row in t]
 
 
 def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
@@ -153,12 +173,12 @@ def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
         return None
     height = len(columns[0])
     k = len(columns)
-    m, pivots, d, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
+    t, pivots, d, _, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
     free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         return None
     x = [Fraction(0)] * k
     x[free] = Fraction(1)
     for r, c in enumerate(pivots):
-        x[c] = Fraction(-m[r][free], d)
+        x[c] = Fraction(-t[r][free], d)
     return x

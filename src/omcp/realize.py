@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
 from .om import NOT_A_BASIS, ExplicitOM, NotABasis
-from .signs import GroundSet, SignedSet, sign_masks
+from .signs import GroundSet, SignedSet
 
 Vector = tuple[Fraction, ...]
 
@@ -108,14 +108,17 @@ def circuits_from_matrix(matrix: RationalMatrix, ground: GroundSet) -> ExplicitO
 
 
 def _integer_tableau(cols: list[list[int]], js: list[int]):
-    """``(d, t)`` with ``t = d * B^-1 A`` over all the integer columns
-    ``cols`` of A, B its square submatrix on the columns ``js``, from one
-    ``linalg.invert``; None when B is singular."""
+    """``(ns, d, t)``: the columns ``ns`` outside ``js``, in increasing
+    order, and the compact tableau ``t = d * B^-1 A`` on them, one slot
+    per column of ``ns`` (see :mod:`omcp.linalg`), for the integer
+    columns ``cols`` of A and B their square submatrix on the columns
+    ``js``, from one ``linalg.invert``; None when B is singular."""
     inv = linalg.invert([[cols[j][i] for j in js] for i in range(len(js))])
     if inv is None:
         return None
     d, rows = inv
-    return d, [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+    ns = [j for j in range(len(cols)) if j not in js]
+    return ns, d, [[sum(map(operator.mul, row, cols[j])) for j in ns] for row in rows]
 
 
 def is_generic(matrix: RationalMatrix) -> bool:
@@ -124,8 +127,8 @@ def is_generic(matrix: RationalMatrix) -> bool:
     Each column's denominators are cleared once; a positive column scaling
     cannot make a minor vanish, so the work is on integers.  B is the first
     r independent columns, as elimination finds them, and T = D * B^-1 A
-    its integer tableau, from one ``linalg.invert``, read on the m - r
-    other columns.  An r-subset S is a basis iff the k x k minor of T
+    its compact tableau on the m - r other columns, from one
+    ``linalg.invert``.  An r-subset S is a basis iff the k x k minor of T
     on the rows of B - S and the columns of S - B is non-zero, k = |S - B|:
     by Cramer's rule that minor is +-D^(k-1) det A_S.  So the entries of T
     settle k = 1, and each k >= 2 takes one ``linalg.det`` per k x k minor,
@@ -139,8 +142,7 @@ def is_generic(matrix: RationalMatrix) -> bool:
     basis = linalg.pivot_columns([[col[i] for col in cols] for i in range(r)])
     if len(basis) < r:
         return False
-    rest = [j for j in range(m) if j not in basis]
-    t = [[row[j] for j in rest] for row in _integer_tableau(cols, basis)[1]]
+    t = _integer_tableau(cols, basis)[2]
     if any(0 in row for row in t):
         return False
     for k in range(2, min(r, m - r) + 1):
@@ -149,6 +151,30 @@ def is_generic(matrix: RationalMatrix) -> bool:
                 if linalg.det([[row[j] for j in jj] for row in ii]) == 0:
                     return False
     return True
+
+
+def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool):
+    """``(pos_mask, neg_mask)`` of the signed set that is + at ``e`` and has
+    the sign of each value at its key, negated there when ``flip``."""
+    above = below = 0
+    for j, x in zip(keys, values):
+        if x > 0:
+            above |= 1 << j
+        elif x < 0:
+            below |= 1 << j
+    return (1 << e | below, above) if flip else (1 << e | above, below)
+
+
+def _circuit_masks(js: list[int], d: int, t: list[list[int]], s: int, e: int):
+    """C(B, e) for e in slot s: sign(D) times -(slot s of T) on B, + at e."""
+    return _signed_masks(js, map(operator.itemgetter(s), t), e, d > 0)
+
+
+def _cocircuit_masks(ns: list[int], d: int, row: list[int], e: int):
+    """C*(B, e) for ``row`` the row of e: sign(D) times that row of the full
+    tableau, which has D at e, 0 at the other basis columns and ``row[s]``
+    at the column of slot s."""
+    return _signed_masks(ns, row, e, d < 0)
 
 
 def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
@@ -173,20 +199,23 @@ class RealizedOM:
     span the same row space and so realize the same oriented matroid, and
     an integer copy A of its columns on those rows, each scaled by the
     positive lcm of its denominators, which leaves the oriented matroid
-    unchanged too.  Each basis B caches its tableau T = D * B^-1 A over
-    all columns, with D = +-det B and the column index of the basis
-    element behind each row (None when B is singular).  C(B, e) is read
-    off column e of T and C*(B, e) off the row of e, both times sign(D),
-    without further arithmetic.  Only the first tableau is factored, by
-    ``linalg.invert``; every other basis is walked to from the tableau
-    used last, one ``linalg.pivot`` per entering column.  The dict stays:
-    games, their transcript checks and degeneracy scans revisit bases in
-    vertex order, and walking there anew costs many times the pivots.
-    The circuit and cocircuit sets are read off the tableaux of all
-    bases, which one walk visits in lexicographic order without caching;
-    a circuit recurs at every basis that contains its support minus one
-    element, so each is kept once, as its pair of sign masks, before it
-    becomes a SignedSet.
+    unchanged too.  Each basis B caches its compact tableau (see
+    :mod:`omcp.linalg`): the basis column behind each row, the column
+    behind each slot, D = +-det B and T = D * B^-1 A on the slots only,
+    r x (m - r) integers (None when B is singular).  C(B, e) is read off
+    the slot of e and C*(B, e) off the row of e, with D at e and 0 at the
+    other basis columns, both times sign(D), without further arithmetic.
+    Only the first tableau is factored, by ``linalg.invert``; every other
+    basis is walked to from the tableau used last, one ``linalg.pivot``
+    per entering column: the leaving column takes over the entering
+    column's slot, with D in its own row and -T[i][c] in every other row
+    i.  The dict stays: games, their transcript
+    checks and degeneracy scans revisit bases in vertex order, and
+    walking there anew costs many times the pivots.  The circuit and
+    cocircuit sets are read off the tableaux of all bases, which one walk
+    visits in lexicographic order without caching; a circuit recurs at
+    every basis that contains its support minus one element, so each is
+    kept once, as its pair of sign masks, before it becomes a SignedSet.
     """
 
     def __init__(self, matrix: RationalMatrix, ground: GroundSet):
@@ -211,10 +240,12 @@ class RealizedOM:
         return sorted(map(self.ground.index, names))
 
     def _tableau(self, names: frozenset[str]):
-        """``(js, d, t)`` with ``t = d * B^-1 A``, or None when ``names`` is no basis.
+        """``(js, ns, d, t)``, the compact tableau of ``names``, or None when
+        ``names`` is no basis.
 
-        Row k of ``t`` belongs to the basis column ``js[k]``.  Cached per
-        basis; the entry used last starts the walk to the next miss.
+        Row k of ``t`` belongs to the basis column ``js[k]`` and slot s to
+        the column ``ns[s]``.  Cached per basis; the entry used last starts
+        the walk to the next miss.
         """
         if len(names) != self.rank:
             return None
@@ -230,31 +261,31 @@ class RealizedOM:
         """The tableau of the columns ``target``, walked from the last one used.
 
         Each entering column c, in increasing index, replaces the first
-        leaving row with a non-zero entry in column c.  None when there is
-        no such row: then c depends on columns that stay, so ``target`` is
-        no basis.
+        leaving row with a non-zero entry in the slot of c.  None when there
+        is no such row: then c depends on columns that stay, so ``target``
+        is no basis.
         """
         if self._last is None:
             first = _integer_tableau(self._columns, target)
             return None if first is None else (target, *first)
-        js, d, t = self._last
-        js = list(js)
+        js, ns, d, t = self._last
+        js, ns = list(js), list(ns)
         stays = set(target)
         for c in sorted(stays.difference(js)):
+            s = ns.index(c)
             for i, j in enumerate(js):
-                if j not in stays and t[i][c] != 0:
+                if j not in stays and t[i][s] != 0:
                     break
             else:
                 return None
-            t = linalg.pivot(t, i, c, d)
-            d = t[i][c]
-            js[i] = c
-        return js, d, t
+            d, t = t[i][s], linalg.pivot(t, i, s, d)
+            js[i], ns[s] = c, j
+        return js, ns, d, t
 
-    def _all_tableaux(self) -> Iterator[tuple[list[int], int, list[list[int]]]]:
-        """``(js, d, t)`` for every basis, the rank-subsets of columns taken
-        in lexicographic order; each is walked to from the one before and
-        none is stored in the basis cache."""
+    def _all_tableaux(self) -> Iterator[tuple[list[int], list[int], int, list[list[int]]]]:
+        """``(js, ns, d, t)`` for every basis, the rank-subsets of columns
+        taken in lexicographic order; each is walked to from the one before
+        and none is stored in the basis cache."""
         for target in itertools.combinations(range(self.matrix.cols), self.rank):
             entry = self._walk(list(target))
             if entry is not None:
@@ -264,26 +295,8 @@ class RealizedOM:
     def bases(self) -> Iterator[frozenset[str]]:
         """Every basis, in the order of :meth:`ExplicitOM.bases`."""
         names = self.ground.elements
-        for js, _, _ in self._all_tableaux():
+        for js, _, _, _ in self._all_tableaux():
             yield frozenset(names[j] for j in js)
-
-    def _signed(self, d: int, x: Iterable[int]) -> SignedSet:
-        """The signed set sign(d) * x; a negative d swaps the two masks."""
-        return SignedSet(self.ground, *sign_masks(x)[:: 1 if d > 0 else -1])
-
-    def _fundamental_masks(
-        self, js: list[int], d: int, t: list[list[int]], e: int
-    ) -> tuple[int, int]:
-        """``(pos_mask, neg_mask)`` of C(B, e), sign(D) times -(column e of T)
-        on B and D at e: + at e, and -sign(D) * sign(T[k][e]) at the basis
-        column of row k."""
-        above = below = 0
-        for j, row in zip(js, t):
-            if row[e] > 0:
-                above |= 1 << j
-            elif row[e] < 0:
-                below |= 1 << j
-        return (1 << e | below, above) if d > 0 else (1 << e | above, below)
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._tableau(frozenset(subset)) is not None
@@ -300,7 +313,7 @@ class RealizedOM:
         return is_generic(self._spanning)
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """NotABasis, or the fundamental circuit C(B, e) from column e of the tableau."""
+        """NotABasis, or the fundamental circuit C(B, e) from the slot of e."""
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
@@ -308,7 +321,8 @@ class RealizedOM:
         entry = self._tableau(names)
         if entry is None:
             return NOT_A_BASIS
-        return SignedSet(self.ground, *self._fundamental_masks(*entry, j_e))
+        js, ns, d, t = entry
+        return SignedSet(self.ground, *_circuit_masks(js, d, t, ns.index(j_e), j_e))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -322,8 +336,9 @@ class RealizedOM:
         entry = self._tableau(names)
         if entry is None:
             raise ValueError("fundamental cocircuits are defined for bases only")
-        js, d, t = entry
-        return self._signed(d, t[js.index(self.ground.index(e))])
+        js, ns, d, t = entry
+        j_e = self.ground.index(e)
+        return SignedSet(self.ground, *_cocircuit_masks(ns, d, t[js.index(j_e)], j_e))
 
     def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
         """C*(B, e) for every e in B, each read off the cached tableau of B."""
@@ -331,14 +346,16 @@ class RealizedOM:
         return {e: self.fundamental_cocircuit(names, e) for e in names}
 
     def cocircuits(self) -> frozenset[SignedSet]:
-        """All cocircuits: every row of every basis tableau, times sign(D), and
-        its negation."""
+        """All cocircuits: every C*(B, e) of every basis tableau, and its negation."""
         return self._cocircuits
 
     @cached_property
     def _cocircuits(self) -> frozenset[SignedSet]:
-        found = {self._signed(d, row) for _, d, t in self._all_tableaux() for row in t}
-        return frozenset(found | {y.negate() for y in found})
+        return self._with_negations(
+            _cocircuit_masks(ns, d, row, j)
+            for js, ns, d, t in self._all_tableaux()
+            for j, row in zip(js, t)
+        )
 
     def circuit_set(self) -> frozenset[SignedSet]:
         return self._explicit.circuits
@@ -348,17 +365,16 @@ class RealizedOM:
 
     @cached_property
     def _explicit(self) -> ExplicitOM:
-        """Every C(B, e) with e outside a basis B, and its negation.
-
-        Each C(B, e) is read as its pair of masks, and one SignedSet is
-        built per distinct pair and per negation.
-        """
+        """Every C(B, e) with e outside a basis B, and its negation."""
         check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
-        found = {
-            self._fundamental_masks(js, d, t, e)
-            for js, d, t in self._all_tableaux()
-            for e in range(self.matrix.cols)
-            if e not in js
-        }
+        return ExplicitOM(self.ground, self._with_negations(
+            _circuit_masks(js, d, t, s, e)
+            for js, ns, d, t in self._all_tableaux()
+            for s, e in enumerate(ns)
+        ))
+
+    def _with_negations(self, masks: Iterable[tuple[int, int]]) -> frozenset[SignedSet]:
+        """One SignedSet per distinct mask pair and per negation."""
+        found = set(masks)
         found.update([(neg, pos) for pos, neg in found])
-        return ExplicitOM(self.ground, frozenset(SignedSet(self.ground, *x) for x in found))
+        return frozenset(SignedSet(self.ground, *x) for x in found)

@@ -20,14 +20,19 @@ solution and violation certificates of the complementarity instance.
 
 from __future__ import annotations
 
-from .cube import Orientation, Outmap, downward_outmap, is_sw_pair, vertex_bits
+from .cube import Orientation, Outmap, downward_outmap, is_sw_pair
 from .om import NotABasis
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
 from .signs import GroundSet
 
 
 def vertex_basis(oracle_ground: GroundSet, v: int, n: int) -> frozenset[str]:
-    return oracle_ground.complementary_basis(vertex_bits(v, n))
+    """B(v): dimension i contributes ground element i + n * v_i, in the
+    order s_1..s_n, t_1..t_n[, q] that every complementary ground set keeps."""
+    if oracle_ground.pairs is None or len(oracle_ground.pairs) != n:
+        raise ValueError("bit vector does not match complementary structure")
+    names = oracle_ground.elements
+    return frozenset([names[i + n * (v >> (n - 1 - i) & 1)] for i in range(n)])
 
 
 def _query(oracle, v: int, n: int):

@@ -327,3 +327,38 @@ def test_unknown_subcommand_exits_1(tmp_path, capsys, group):
     assert code == 1 and captured.out == ""
     assert "invalid choice: 'no-such-subcommand'" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """``main`` builds its parser once; a sequence of calls in one process
+    prints what the golden file or a fresh process prints for each."""
+    data = Path(__file__).parent / "data"
+    golden = {
+        tuple(c["argv"]): (c["exit"], c["stdout"])
+        for c in json.loads((data / "golden_cli.json").read_text(encoding="utf-8"))
+    }
+    src = str(Path(omcp.__file__).resolve().parents[1])
+    path = str(data / "lcp5_degenerate.json")
+    calls = [
+        ["reduce", "back-map", path],  # neither --sink nor --uv1: exit 1
+        ["reduce", "klaus", "--partial", path],
+        ["reduce", "klaus", path],
+        ["reduce", "back-map", path, "--uv1", "00000", "00001"],
+        ["reduce", "back-map", path, "--sink", "10111"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        got = (code, capsys.readouterr().out)
+        key = tuple(a.replace(str(data), "DATA") for a in argv)
+        if key in golden:
+            expected = golden[key]
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-m", "omcp.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=60,
+            )
+            expected = (proc.returncode, proc.stdout)
+        assert got == expected, argv
+    # A bad call after good ones still fails.
+    assert main(["reduce", "back-map", path]) == 1

@@ -174,11 +174,26 @@ def partial_tables(max_n):
     )
 
 
+@st.composite
+def zero_pair_tables(draw, tables):
+    """A table of ``tables`` with vertex w copied from vertex 0 on the
+    dimensions where they differ, so that (0, w) is a Szabo-Welzl pair
+    (when vertex 0 is oriented there) and the least pair starts at 0."""
+    n, maps = draw(tables)
+    w = draw(st.integers(1, (1 << n) - 1))
+    maps = list(maps)
+    span = ref_span(0, w, n)
+    maps[w] = tuple(maps[0][i] if i in span else s for i, s in enumerate(maps[w]))
+    return n, maps
+
+
 TOTAL, PARTIAL = total_tables(6), partial_tables(6)
+# Non-USO tables whose least pair is (0, w): the pair walk stops early on these.
+ZERO_PAIR_TOTAL, ZERO_PAIR_PARTIAL = zero_pair_tables(TOTAL), zero_pair_tables(PARTIAL)
 
 
 @settings(max_examples=150, deadline=None)
-@given(TOTAL)
+@given(st.one_of(TOTAL, ZERO_PAIR_TOTAL))
 def test_find_sw_violation_matches_reference(case):
     n, maps = case
     assert find_sw_violation(ref_orientation(n, maps)) == ref_find_sw_violation(maps, n)
@@ -197,7 +212,7 @@ def test_find_sw_violation_rejects_partial_tables(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(TOTAL, PARTIAL))
+@given(st.one_of(TOTAL, PARTIAL, ZERO_PAIR_TOTAL, ZERO_PAIR_PARTIAL))
 def test_is_partially_sw_matches_reference_with_witness(case):
     n, maps = case
     witness = ref_partial_witness(maps, n)

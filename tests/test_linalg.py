@@ -118,3 +118,43 @@ def test_kernel_vector_of_columns_is_in_kernel(a):
     assert x is not None and any(v != 0 for v in x)
     for i in range(len(a)):
         assert sum(x[j] * columns[j][i] for j in range(len(columns))) == 0
+
+
+def full_exchange(t, r, col, d):
+    """Reference: the basis exchange on the full tableau T = D * B^-1 A over
+    every column, entering column ``col`` at row ``r``; returns (T', D')."""
+    p = t[r][col]
+    return [row if i == r else [(p * a - row[col] * b) // d for a, b in zip(row, t[r])]
+            for i, row in enumerate(t)], p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+        lambda rc: st.lists(st.lists(st.integers(-3, 3), min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0])
+    ),
+    st.data(),
+)
+def test_compact_pivot_matches_the_full_tableau(a, data):
+    r, m = len(a), len(a[0])
+    # [I | A] with its unit columns as the first basis: D = 1 and the compact T is A.
+    whole = [[int(i == k) for k in range(r)] + row for i, row in enumerate(a)]
+    full, js, ns, d, t = whole, list(range(r)), list(range(r, r + m)), 1, a
+    for _ in range(data.draw(st.integers(1, 8))):
+        places = [(i, s) for i in range(r) for s in range(m) if t[i][s] != 0]
+        if not places:
+            break
+        # Half the time prefer a pivot equal to D, where the exchange shares rows.
+        equal = [(i, s) for i, s in places if t[i][s] == d]
+        i, s = data.draw(st.sampled_from(equal if equal and data.draw(st.booleans()) else places))
+        before = [row.copy() for row in t]
+        t, old = linalg.pivot(t, i, s, d), t
+        assert old == before
+        full, d = full_exchange(full, i, ns[s], d)
+        js[i], ns[s] = ns[s], js[i]
+        assert t == [[row[j] for j in ns] for row in full]
+        for k, j in enumerate(js):
+            assert [row[j] for row in full] == [d * (x == k) for x in range(r)]
+        assert d in (leibniz_det([[row[j] for j in js] for row in whole]),
+                     -leibniz_det([[row[j] for j in js] for row in whole]))

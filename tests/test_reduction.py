@@ -58,6 +58,16 @@ def test_vertex_basis_map():
     assert vertex_basis(g, 0b11, 2) == {"t1", "t2"}
 
 
+@pytest.mark.parametrize(
+    "ground, n",
+    [(GroundSet.plain(["a", "b", "q"]), 1), (GroundSet.complementary(2, with_q=True), 3)],
+    ids=["no-pairs", "pair-count"],
+)
+def test_vertex_basis_needs_a_matching_complementary_structure(ground, n):
+    with pytest.raises(ValueError, match="complementary structure"):
+        vertex_basis(ground, 0, n)
+
+
 def test_orientation_one_edge_uso(ext):
     assert outmap_name(orient_vertex_total(ext, 0, 1), 1) == "+"
     assert outmap_name(orient_vertex_total(ext, 1, 1), 1) == "-"
