@@ -155,7 +155,15 @@ def is_generic(matrix: RationalMatrix) -> bool:
 
 def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool):
     """``(pos_mask, neg_mask)`` of the signed set that is + at ``e`` and has
-    the sign of each value at its key, negated there when ``flip``."""
+    the sign of each value at its key, negated there when ``flip``.
+
+    On a compact tableau ``(js, ns, d, t)`` (see :class:`RealizedOM`),
+    C(B, e) takes the basis columns ``js``, the slot of e and
+    ``flip = d > 0``: sign(D) times minus that slot on B, and D at e.
+    C*(B, e) takes the slot columns ``ns``, the row of e and
+    ``flip = d < 0``: sign(D) times the full row of e, which has D at e and
+    0 at the other basis columns.
+    """
     above = below = 0
     for j, x in zip(keys, values):
         if x > 0:
@@ -163,18 +171,6 @@ def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool
         elif x < 0:
             below |= 1 << j
     return (1 << e | below, above) if flip else (1 << e | above, below)
-
-
-def _circuit_masks(js: list[int], d: int, t: list[list[int]], s: int, e: int):
-    """C(B, e) for e in slot s: sign(D) times -(slot s of T) on B, + at e."""
-    return _signed_masks(js, map(operator.itemgetter(s), t), e, d > 0)
-
-
-def _cocircuit_masks(ns: list[int], d: int, row: list[int], e: int):
-    """C*(B, e) for ``row`` the row of e: sign(D) times that row of the full
-    tableau, which has D at e, 0 at the other basis columns and ``row[s]``
-    at the column of slot s."""
-    return _signed_masks(ns, row, e, d < 0)
 
 
 def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
@@ -322,7 +318,8 @@ class RealizedOM:
         if entry is None:
             return NOT_A_BASIS
         js, ns, d, t = entry
-        return SignedSet(self.ground, *_circuit_masks(js, d, t, ns.index(j_e), j_e))
+        s = ns.index(j_e)
+        return SignedSet(self.ground, *_signed_masks(js, [row[s] for row in t], j_e, d > 0))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -338,7 +335,7 @@ class RealizedOM:
             raise ValueError("fundamental cocircuits are defined for bases only")
         js, ns, d, t = entry
         j_e = self.ground.index(e)
-        return SignedSet(self.ground, *_cocircuit_masks(ns, d, t[js.index(j_e)], j_e))
+        return SignedSet(self.ground, *_signed_masks(ns, t[js.index(j_e)], j_e, d < 0))
 
     def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
         """C*(B, e) for every e in B, each read off the cached tableau of B."""
@@ -352,9 +349,9 @@ class RealizedOM:
     @cached_property
     def _cocircuits(self) -> frozenset[SignedSet]:
         return self._with_negations(
-            _cocircuit_masks(ns, d, row, j)
+            _signed_masks(ns, row, e, d < 0)
             for js, ns, d, t in self._all_tableaux()
-            for j, row in zip(js, t)
+            for e, row in zip(js, t)
         )
 
     def circuit_set(self) -> frozenset[SignedSet]:
@@ -368,9 +365,10 @@ class RealizedOM:
         """Every C(B, e) with e outside a basis B, and its negation."""
         check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
         return ExplicitOM(self.ground, self._with_negations(
-            _circuit_masks(js, d, t, s, e)
+            _signed_masks(js, column, e, d > 0)
             for js, ns, d, t in self._all_tableaux()
-            for s, e in enumerate(ns)
+            # at rank 0 there are no rows to transpose, and every slot is empty
+            for e, column in zip(ns, zip(*t) if t else [()] * len(ns))
         ))
 
     def _with_negations(self, masks: Iterable[tuple[int, int]]) -> frozenset[SignedSet]:
