@@ -48,44 +48,44 @@ def integer_multiple(values) -> tuple[int, list[int]]:
 def pivot(t: list[list[int]], r: int, c: int, d: int) -> list[list[int]]:
     """The compact exchange at row ``r`` and slot ``c`` of ``t`` (module docstring).
 
-    ``t[r][c]`` must be non-zero and ``d`` is the tableau's D; the new D
-    is the old ``t[r][c]``.  Returns a new list of rows; the rows of
-    ``t`` are not modified, and a row the exchange leaves unchanged is
-    shared.
+    ``t[r][c]`` must be non-zero, ``d`` is the tableau's D and the rows of
+    ``t`` are distinct lists; the new D is the old ``t[r][c]``.  Returns a
+    new list of rows; the rows of ``t`` are not modified, and a row the
+    exchange leaves unchanged is shared.
     """
     prow = t[r]
     p = prow[c]
     out = []
-    for i, row in enumerate(t):
+    for row in t:
         f = row[c]
-        if i == r:
+        if f == 0:
             if p != d:
-                row = row.copy()
-                row[c] = d
-        elif f != 0:
+                row = [p * a // d for a in row]
+        elif row is not prow:
             row = [(p * a - f * b) // d for a, b in zip(row, prow)]
             row[c] = -f
-        elif p != d:
-            row = [p * a // d for a in row]
         out.append(row)
+    if p != d:
+        out[r] = prow = prow.copy()
+        prow[c] = d
     return out
 
 
-def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int, list[int]]:
+def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int, list]:
     """Fraction-free Gauss-Jordan elimination, pivoting in the first ``width`` columns.
 
-    Entries may be Fractions or ints.  Returns ``(t, pivots, d, den, order)``.
+    Entries may be Fractions or ints.  Returns ``(t, pivots, d, den, swaps)``.
     ``t`` is the compact tableau of the scaled rows after one
     :func:`pivot` per pivot column; ``pivots`` lists those columns in
     increasing order and ``d`` is the last pivot.  Rows are swapped so that
-    the k-th pivot column is the basis element of row k; ``order[i]`` is
-    the input row now at row i, and the slot of the k-th pivot column
-    holds the unit column of row ``order[k]``.  Every other column keeps
-    its slot;
-    below ``width`` it is zero in the rows past ``len(pivots)``.  For a
-    square full-rank matrix, ``det(rows) = d / den``: ``den`` is the
-    product of the positive row multipliers, negated for an odd number of
-    row swaps.
+    the k-th pivot column is the basis element of row k, and ``swaps``
+    lists the swapped row pairs in order: replayed on the input row
+    numbers, they give the input row now at each row, and the slot of the
+    k-th pivot column holds the unit column of the input row now at row
+    k.  Every other column keeps its slot, and below ``width`` it is zero
+    in the rows past ``len(pivots)``.  For a square full-rank matrix,
+    ``det(rows) = d / den``: ``den`` is the product of the positive row
+    multipliers, negated for an odd number of row swaps.
     """
     t = []
     den = 1
@@ -94,7 +94,7 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
         den *= mult
         t.append(ints)
     n_rows = len(t)
-    order = list(range(n_rows))
+    swaps = []
     pivots: list[int] = []
     d = 1
     r = 0
@@ -106,12 +106,12 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
             continue
         if p != r:
             t[r], t[p] = t[p], t[r]
-            order[r], order[p] = order[p], order[r]
+            swaps.append((r, p))
             den = -den
         d, t = t[r][c], pivot(t, r, c, d)
         pivots.append(c)
         r += 1
-    return t, pivots, d, den, order
+    return t, pivots, d, den, swaps
 
 
 def pivot_columns(rows: Matrix) -> list[int]:
@@ -138,10 +138,10 @@ def det(rows: Matrix) -> Fraction:
 def solve(rows: Matrix, b: Row) -> Row | None:
     """Solve the square system A x = b; None when A is singular."""
     n = len(rows)
-    t, pivots, d, _, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
+    m, pivots, d, _, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
     if len(pivots) < n:
         return None
-    return [Fraction(t[i][n], d) for i in range(n)]
+    return [Fraction(m[i][n], d) for i in range(n)]
 
 
 def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
@@ -152,12 +152,16 @@ def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
     negative, so the sign of an entry of the inverse times ``x`` is
     ``sign(d) * sign(N x)``.  The elimination runs on the matrix itself:
     afterwards the slot of column k holds d times column ``order[k]`` of
-    the inverse, divided by the multiplier of input row ``order[k]``.
+    the inverse, divided by the multiplier of input row ``order[k]``,
+    where ``order[k]`` is the input row now at row k.
     """
     n = len(rows)
-    t, pivots, d, _, order = _eliminate(rows, n)
+    t, pivots, d, _, swaps = _eliminate(rows, n)
     if len(pivots) < n:
         return None
+    order = list(range(n))
+    for a, b in swaps:
+        order[a], order[b] = order[b], order[a]
     slot = sorted(range(n), key=order.__getitem__)
     mults = [integer_multiple(row)[0] for row in rows]
     return d, [[row[slot[i]] * mults[i] for i in range(n)] for row in t]
@@ -173,12 +177,12 @@ def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
         return None
     height = len(columns[0])
     k = len(columns)
-    t, pivots, d, _, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
+    m, pivots, d, _, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
     free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         return None
     x = [Fraction(0)] * k
     x[free] = Fraction(1)
     for r, c in enumerate(pivots):
-        x[c] = Fraction(-t[r][free], d)
+        x[c] = Fraction(-m[r][free], d)
     return x
