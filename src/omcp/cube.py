@@ -150,10 +150,12 @@ class Orientation:
 
         Vertices are evaluated in Gray-code order, v = k ^ (k >> 1), so
         consecutive queries differ in one dimension and an oracle can move
-        between them by one basis exchange.  When a vertex raises
-        ValueError, the unevaluated vertices below it are evaluated in
-        vertex order, so the error raised is that of the least failing
-        vertex, as in a pass in vertex order.
+        between them by one basis exchange.  ``RealizedOM``'s principal-pivot
+        stack may redo several dimensions at one vertex, yet still makes
+        2^n - 1 exchanges in all, one per vertex after the first.  When a
+        vertex raises ValueError, the unevaluated vertices below it are
+        evaluated in vertex order, so the error raised is that of the least
+        failing vertex, as in a pass in vertex order.
         """
         if self._table is not None:
             return self

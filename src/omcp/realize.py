@@ -6,8 +6,11 @@ among columns.  :class:`RealizedOM` answers basis and fundamental
 circuit/cocircuit queries from exact integer basis tableaux, and reads
 its whole circuit and cocircuit sets off the tableaux of all its bases:
 every circuit is a fundamental circuit and every cocircuit a fundamental
-cocircuit of some basis.  The module also builds the complementarity
-instance [I; -M; -q] from an LCP pair (M, q).
+cocircuit of some basis.  The fundamental circuit C(B(v), q) of a
+complementary basis comes from a principal-pivot stack instead, whose
+tableaux drop one column per fixed dimension and are not cached.  The
+module also builds the complementarity instance [I; -M; -q] from an LCP
+pair (M, q).
 """
 
 from __future__ import annotations
@@ -207,7 +210,30 @@ class RealizedOM:
     column's slot, with D in its own row and -T[i][c] in every other row
     i.  The dict stays: games, their transcript
     checks and degeneracy scans revisit bases in vertex order, and
-    walking there anew costs many times the pivots.  The circuit and
+    walking there anew costs many times the pivots.
+
+    C(B(v), q) of a complementary basis, on a complementary ground with q
+    and of rank n, is only the slot of q of the principal pivot transform
+    of [M | q] at B(v) (Tucker 1963), and comes from a principal-pivot
+    stack that caches nothing per vertex.  Vertex v has bit n - 1 - i set
+    when t_i is in B(v).  An entry holds a vertex, its D and n rows in
+    dimension order; dimensions < k are fixed, k = 0 at the bottom, and
+    the slots are those of dimensions >= max(k - 1, 0), in order, and of
+    q, last.  The bottom is the cached tableau of the first complementary
+    basis queried.  Vertex v pops the entries whose fixed dimensions
+    disagree with it.  Then, for each dimension j >= k where v and the
+    top differ, in increasing order, it cuts the top's rows to the slots
+    of dimensions >= j and of q, pivots at row j and the slot of j, and
+    pushes the result with bit j flipped and k = j + 1; the undecided
+    dimensions keep their state.  The cut is exact: an exchange at (r, c)
+    reads only row r and slot c and updates each other slot from itself,
+    and no exchange above the new entry reads a slot below j.  So the
+    stack holds at most n + 1 entries, and a Gray walk or a vertex-order
+    scan makes one pivot per vertex after the first, the one at dimension
+    j on rows of n - j + 1 integers.  A zero principal pivot, and every
+    other query, goes to the cached tableaux.
+
+    The circuit and
     cocircuit sets are read off the tableaux of all bases, which one walk
     visits in lexicographic order without caching; a circuit recurs at
     every basis that contains its support minus one element, so each is
@@ -227,6 +253,7 @@ class RealizedOM:
         self._columns = tuple([col[i] for i in kept] for col in cols)
         self._basis_cache: dict = {}
         self._last = None
+        self._stack: list[tuple[int, int, int, list[list[int]]]] = []
 
     @property
     def rank(self) -> int:
@@ -308,18 +335,84 @@ class RealizedOM:
     def _uniform(self) -> bool:
         return is_generic(self._spanning)
 
+    @cached_property
+    def _pair_bits(self) -> dict[str, int] | None:
+        """Bit n - 1 - i for s_i, and that bit plus itself shifted up by n
+        for t_i: the low n bits mark dimensions, the high n the vertex.
+        None unless the ground has q and the rank is n."""
+        n = self.rank
+        if self.ground.q is None or n != len(self.ground.pairs):
+            return None
+        bits = {}
+        for i, (s, t) in enumerate(self.ground.pairs):
+            bit = 1 << n - 1 - i
+            bits[s], bits[t] = bit, bit | bit << n
+        return bits
+
+    def _vertex(self, names: frozenset[str]) -> int | None:
+        """The vertex v with B(v) = ``names``, or None unless the ground has
+        q, the rank is n and ``names`` holds one of s_i, t_i for each i."""
+        bits = self._pair_bits
+        n = len(names)
+        if bits is None or 2 * n != len(bits):
+            return None
+        x = 0
+        for name in names:
+            x |= bits.get(name, 0)
+        full = (1 << n) - 1
+        return x >> n if x & full == full else None
+
+    def _q_column(self, v: int, names: frozenset[str]):
+        """``(js, d, column)``: the basis columns of B(v) = ``names`` in
+        dimension order, D and the slot of q of its tableau, from the
+        principal-pivot stack (class docstring); None when the stack meets
+        a zero principal pivot or ``names`` is no basis."""
+        n = len(names)
+        js = [i + n * (v >> n - 1 - i & 1) for i in range(n)]
+        stack = self._stack
+        if not stack:
+            entry = self._tableau(names)
+            if entry is None:
+                return None
+            rows, ns, d, t = entry
+            # The partner of column c is c +- n, and q is column 2n.
+            slots = [ns.index((c + n) % (2 * n)) for c in js] + [ns.index(2 * n)]
+            t = [t[rows.index(c)] for c in js]
+            stack.append((v, 0, d, [[row[s] for s in slots] for row in t]))
+        state, k, d, t = stack[-1]
+        while (state ^ v) >> n - k:
+            stack.pop()
+            state, k, d, t = stack[-1]
+        diff = state ^ v
+        while diff:
+            j = n - diff.bit_length()
+            # Slot 0 of a pushed entry is the dimension pivoted last.
+            t = [row[j - max(k - 1, 0):] for row in t]
+            if t[j][0] == 0:
+                return None
+            d, t = t[j][0], linalg.pivot(t, j, 0, d)
+            bit = 1 << n - 1 - j
+            state, k, diff = state ^ bit, j + 1, diff ^ bit
+            stack.append((state, k, d, t))
+        return js, d, [row[-1] for row in t]
+
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """NotABasis, or the fundamental circuit C(B, e) from the slot of e."""
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
         j_e = self.ground.index(e)
-        entry = self._tableau(names)
-        if entry is None:
-            return NOT_A_BASIS
-        js, ns, d, t = entry
-        s = ns.index(j_e)
-        return SignedSet(self.ground, *_signed_masks(js, [row[s] for row in t], j_e, d > 0))
+        v = self._vertex(names) if e == self.ground.q else None
+        found = None if v is None else self._q_column(v, names)
+        if found is None:
+            entry = self._tableau(names)
+            if entry is None:
+                return NOT_A_BASIS
+            js, ns, d, t = entry
+            s = ns.index(j_e)
+            found = js, d, [row[s] for row in t]
+        js, d, column = found
+        return SignedSet(self.ground, *_signed_masks(js, column, j_e, d > 0))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)

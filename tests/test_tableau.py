@@ -1,4 +1,4 @@
-"""The cached integer tableau of RealizedOM and the Gray-code materialization.
+"""The integer tableaux of RealizedOM and the Gray-code materialization.
 
 One oracle answers a random sequence of queries: bases one exchange away
 from the last one, far jumps, singular sets and repeats.  Each answer must
@@ -6,6 +6,14 @@ equal that of a freshly built oracle, which factors the basis from
 scratch.  Instances mix P-matrices, integer matrices with zeros (non-P,
 singular complementary sets) and degenerate right-hand sides (q = 0,
 q = -(a column of M)).
+
+C(B(v), q) of a complementary B(v) comes from the principal-pivot stack,
+every other query from the cached tableau of its basis.  The stack is
+checked against fresh oracles on walks that interleave both kinds of
+query in Gray, vertex and random order, on instances with zero principal
+pivots, a singular {s_1..s_n} and dependent rows; and its work is pinned:
+one factorization and 2^n - 1 pivots per Gray walk, on rows that lose one
+entry per fixed dimension.
 """
 
 import json
@@ -17,10 +25,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omcp import linalg
+from omcp.extend import ExtensionOM, lex_localization
 from omcp.plcp import random_p_matrix
-from omcp.realize import RationalMatrix, RealizedOM, plcp_matrix
-from omcp.reduction import klaus_orientation, orient_vertex_partial, orient_vertex_total
-from omcp.signs import GroundSet
+from omcp.realize import RationalMatrix, RealizedOM, hstack, negated, plcp_matrix
+from omcp.reduction import (
+    klaus_orientation,
+    orient_vertex_partial,
+    orient_vertex_total,
+    vertex_basis,
+)
+from omcp.signs import MINUS, GroundSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,3 +194,123 @@ def test_fundamental_cocircuits_agree_with_single_reads():
         assert batch[e] == lcp_oracle(m, q).fundamental_cocircuit(basis, e)
     with pytest.raises(ValueError):
         oracle.fundamental_cocircuits({"s1", "t1", "s2"})
+
+
+def load_lcp(name: str):
+    data = json.loads((DATA / name).read_text(encoding="utf-8"))
+    return RationalMatrix.from_rows(data["M"]), tuple(Fraction(x) for x in data["q"])
+
+
+@st.composite
+def stack_instances(draw) -> RationalMatrix:
+    """The matrix of a realized complementary instance with q: a P-LCP, an
+    LCP with zero principal pivots, or an integer matrix whose {s_1..s_n}
+    is singular or whose rows are dependent."""
+    kind = draw(st.sampled_from(["p-lcp", "singular-file", "singular-s", "dependent-rows"]))
+    if kind == "p-lcp":
+        n = draw(st.integers(1, 5))
+        m = random_p_matrix(n, random.Random(draw(st.integers(0, 2**16))))
+        return plcp_matrix(m, tuple(Fraction(draw(st.integers(-3, 3))) for _ in range(n)))
+    if kind == "singular-file":
+        return plcp_matrix(*load_lcp(draw(st.sampled_from(
+            ["lcp3_singular.json", "lcp2_two_singular.json"]
+        ))))
+    n = draw(st.integers(1 if kind == "singular-s" else 2, 4))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(2 * n + 1)] for _ in range(n)]
+    if kind == "singular-s":
+        for row in rows:
+            row[n - 1] = row[0] if n > 1 else 0
+    else:
+        rows[-1] = [2 * x for x in rows[0]]
+    return RationalMatrix.from_rows(rows)
+
+
+VERTEX_STEPS = ["gray", "vertex", "far", "repeat"]
+GENERAL_STEPS = ["cocircuit", "set", "exchange"]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    stack_instances(),
+    st.lists(
+        st.tuples(st.sampled_from(VERTEX_STEPS + GENERAL_STEPS), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_stack_answers_match_a_fresh_oracle(matrix, steps):
+    n = matrix.rows
+    ground = GroundSet.complementary(n, with_q=True)
+    oracle = RealizedOM(matrix, ground)
+    gray = order = v = 0
+    current = sorted(vertex_basis(ground, 0, n))
+    for kind, seed in steps:
+        rng = random.Random(seed)
+        fresh = RealizedOM(matrix, ground)
+        if kind in VERTEX_STEPS:
+            if kind == "gray":
+                gray = (gray + 1) % (1 << n)
+                v = gray ^ gray >> 1
+            elif kind == "vertex":
+                v = order = (order + 1) % (1 << n)
+            elif kind == "far":
+                v = rng.randrange(1 << n)
+            basis = vertex_basis(ground, v, n)
+            got = outcome(lambda: oracle.query(basis, "q"))
+            expected = outcome(lambda: fresh.query(basis, "q"))
+        elif kind == "cocircuit":
+            basis = vertex_basis(ground, v, n)
+            e = rng.choice(sorted(basis))
+            got = outcome(lambda: oracle.fundamental_cocircuit(basis, e))
+            expected = outcome(lambda: fresh.fundamental_cocircuit(basis, e))
+        else:
+            current = next_set("far" if kind == "set" else "exchange", current, ground, rng)
+            e = rng.choice([x for x in ground.elements if x not in current])
+            got = outcome(lambda: oracle.query(current, e))
+            expected = outcome(lambda: fresh.query(current, e))
+        assert got == expected, (kind, v, current)
+        assert len(oracle._stack) <= n + 1
+
+
+def test_gray_walk_pivots_on_rows_that_shrink(invert_calls, monkeypatch):
+    rng = random.Random(8)
+    m = random_p_matrix(8, rng)
+    q = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
+    oracle = lcp_oracle(m, q)
+    # Vertex 0, where the walk starts, takes the one factorization.
+    orient_vertex_total(oracle, 0, 8)
+    calls = []
+    original = linalg.pivot
+
+    def recording(t, r, c, d):
+        calls.append((r, c, {len(row) for row in t}, sum(map(len, t))))
+        return original(t, r, c, d)
+
+    monkeypatch.setattr(linalg, "pivot", recording)
+    orientation = klaus_orientation(oracle, 8).materialize()
+    assert invert_calls == [False]
+    assert len(calls) == 255
+    # The pivot at dimension j sees the slots of dimensions j..n-1 and of q.
+    assert all(c == 0 and widths == {8 - r + 1} for r, c, widths, _ in calls)
+    assert sum(entries for *_, entries in calls) == 6056
+    assert len(oracle._basis_cache) <= 1
+    fresh = lcp_oracle(m, q)
+    for v in range(0, 256, 17):
+        assert orientation.outmap(v) == orient_vertex_total(fresh, v, 8)
+
+
+def test_extension_walk_keeps_its_pivot_count(monkeypatch):
+    m = random_p_matrix(8, random.Random(8))
+    base = RealizedOM(hstack(RationalMatrix.identity(8), negated(m)), GroundSet.complementary(8))
+    pivots = []
+    original = linalg.pivot
+
+    def counting(*args):
+        pivots.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counting)
+    klaus_orientation(ExtensionOM(lex_localization(base, "t1", MINUS)), 8).materialize()
+    # 255 exchanges between Gray neighbours on the base's cached tableaux,
+    # and the 8 pivots of its one factorization.
+    assert len(pivots) == 263
