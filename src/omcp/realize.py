@@ -208,36 +208,34 @@ class RealizedOM:
     basis is walked to from the tableau used last, one ``linalg.pivot``
     per entering column: the leaving column takes over the entering
     column's slot, with D in its own row and -T[i][c] in every other row
-    i.  The dict stays: games, their transcript
-    checks and degeneracy scans revisit bases in vertex order, and
-    walking there anew costs many times the pivots.
+    i.  The dict stays for these queries: games, their transcript checks
+    and degeneracy scans revisit bases in vertex order, and walking there
+    anew costs many times the pivots.
 
-    C(B(v), q) of a complementary basis, on a complementary ground with q
-    and of rank n, is only the slot of q of the principal pivot transform
-    of [M | q] at B(v) (Tucker 1963), and comes from a principal-pivot
-    stack that caches nothing per vertex.  Vertex v has bit n - 1 - i set
-    when t_i is in B(v).  An entry holds a vertex, its D and n rows in
-    dimension order; dimensions < k are fixed, k = 0 at the bottom, and
-    the slots are those of dimensions >= max(k - 1, 0), in order, and of
-    q, last.  The bottom is the cached tableau of the first complementary
-    basis queried.  Vertex v pops the entries whose fixed dimensions
-    disagree with it.  Then, for each dimension j >= k where v and the
-    top differ, in increasing order, it cuts the top's rows to the slots
+    C(B(v), q) of a complementary basis B(v) (ground with q, rank n, bit
+    n - 1 - i of v set when t_i is in B(v)) is the slot of q of the
+    principal pivot transform of [M | q] at B(v) (Tucker 1963), and comes
+    from a principal-pivot stack that caches nothing per vertex.  An entry
+    holds a vertex, its D and n rows in dimension order, on the slots of
+    the dimensions >= max(k - 1, 0) and of q, last, where dimensions < k
+    are fixed.  The bottom, k = 0, is the cached tableau of the first
+    complementary basis queried.  Vertex v pops the entries whose fixed
+    dimensions disagree with it.  Then, for each dimension j >= k where the
+    top differs from v, in increasing order, it cuts the rows to the slots
     of dimensions >= j and of q, pivots at row j and the slot of j, and
-    pushes the result with bit j flipped and k = j + 1; the undecided
-    dimensions keep their state.  The cut is exact: an exchange at (r, c)
-    reads only row r and slot c and updates each other slot from itself,
-    and no exchange above the new entry reads a slot below j.  So the
-    stack holds at most n + 1 entries, and a Gray walk or a vertex-order
-    scan makes one pivot per vertex after the first, the one at dimension
-    j on rows of n - j + 1 integers.  A zero principal pivot, and every
-    other query, goes to the cached tableaux.
+    pushes the result with k = j + 1; the undecided dimensions keep their
+    state.  The cut is exact: an exchange at (r, c) reads only row r and
+    slot c and updates each other slot from itself, and no exchange above
+    the new entry reads a slot below j.  So the stack holds at most n + 1
+    entries, and a Gray walk or a vertex-order scan makes one pivot per
+    vertex after the first.  A zero principal pivot goes to the cached
+    tableaux, as every other query does.
 
-    The circuit and
-    cocircuit sets are read off the tableaux of all bases, which one walk
-    visits in lexicographic order without caching; a circuit recurs at
-    every basis that contains its support minus one element, so each is
-    kept once, as its pair of sign masks, before it becomes a SignedSet.
+    The circuit and cocircuit sets are read off the tableaux of all bases,
+    which one walk visits in lexicographic order without caching; a
+    circuit recurs at every basis that contains its support minus one
+    element, so each is kept once, as its pair of sign masks, before it
+    becomes a SignedSet.
     """
 
     def __init__(self, matrix: RationalMatrix, ground: GroundSet):
