@@ -34,7 +34,7 @@ from .cube import (
     sink_find,
     vertex_bit,
 )
-from .extend import ExtensionOM, LexAtom, Localization
+from .extend import ExtensionOM, Localization, lex_localization
 from .guards import GAME_DIM, check
 from .plcp import random_p_matrix
 from .realize import RealizedOM, RationalMatrix, hstack, negated
@@ -71,9 +71,7 @@ class AdversaryState:
             s_name, t_name = self.base.ground.pair(i)
             bit = vertex_bit(v, i, self.n)
             element = t_name if bit == 0 else s_name
-            self.sigma = self.sigma.compose(
-                Localization(self.base, (LexAtom(element, MINUS),))
-            )
+            self.sigma = self.sigma.compose(lex_localization(self.base, element, MINUS))
             self.hypersink = u.fix_dim(i, 1 - bit)
         out = orient_vertex_total(self.oracle, v, self.n)
         self.transcript.append((v, out))
@@ -84,7 +82,7 @@ class AdversaryState:
         sigma = self.sigma
         for i in sorted(self.hypersink.spanned):
             _, t_name = self.base.ground.pair(i)
-            sigma = sigma.compose(Localization(self.base, (LexAtom(t_name, MINUS),)))
+            sigma = sigma.compose(lex_localization(self.base, t_name, MINUS))
         return ExtensionOM(sigma)
 
 

@@ -32,10 +32,6 @@ def vertex_bit(v: int, i: int, n: int) -> int:
     return (v >> (n - 1 - i)) & 1
 
 
-def vertex_bits(v: int, n: int) -> tuple[int, ...]:
-    return tuple(vertex_bit(v, i, n) for i in range(n))
-
-
 def flip_vertex(v: int, i: int, n: int) -> int:
     return v ^ (1 << (n - 1 - i))
 

@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from . import linalg
-from .cube import Orientation, Outmap, vertex_bits
+from .cube import Orientation, Outmap, vertex_bit
 from .guards import OMCP_SCAN_DIM, check
 from .realize import RationalMatrix, RealizedOM, Vector, hstack, parse_vector
-from .signs import GroundSet, SignedSet, sign_masks
+from .signs import SignedSet, sign_masks
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ def plcp_orientation(m: RationalMatrix, q: Vector, v: int) -> Outmap:
     outgoing half-edge; degenerate (zero) basic values stay unoriented.
     """
     n = m.rows
-    basis = GroundSet.complementary(n).complementary_basis(vertex_bits(v, n))
+    # B(v) by name, apart from GroundSet's vertex map, which this path cross-checks
+    basis = frozenset(f"t{i + 1}" if vertex_bit(v, i, n) else f"s{i + 1}" for i in range(n))
     solution = basic_solution(m, q, basis)
     if solution is None:
         raise ValueError(f"basis at vertex {v:0{n}b} is singular")

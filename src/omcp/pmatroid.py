@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cube import is_sw_pair, vertex_bits, vertex_from_name, vertex_name
+from .cube import is_sw_pair, vertex_from_name, vertex_name
 from .guards import OMCP_SCAN_DIM, check
 from .om import NotABasis
 from .signs import PLUS, ZERO, GroundSet, SignedSet
@@ -173,7 +173,7 @@ def complementary_vertex_sets(ground: GroundSet):
     n = ground.n_pairs
     check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     for v in range(1 << n):
-        yield v, ground.complementary_basis(vertex_bits(v, n))
+        yield v, ground.vertex_basis(v)
 
 
 def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:

@@ -212,8 +212,8 @@ class RealizedOM:
     and degeneracy scans revisit bases in vertex order, and walking there
     anew costs many times the pivots.
 
-    C(B(v), q) of a complementary basis B(v) (ground with q, rank n, bit
-    n - 1 - i of v set when t_i is in B(v)) is the slot of q of the
+    C(B(v), q) of a complementary basis B(v) (ground with q, rank n; the
+    map v <-> B(v) is :class:`GroundSet`'s) is the slot of q of the
     principal pivot transform of [M | q] at B(v) (Tucker 1963), and comes
     from a principal-pivot stack that caches nothing per vertex.  An entry
     holds a vertex, its D and n rows in dimension order, on the slots of
@@ -333,48 +333,22 @@ class RealizedOM:
     def _uniform(self) -> bool:
         return is_generic(self._spanning)
 
-    @cached_property
-    def _pair_bits(self) -> dict[str, int] | None:
-        """Bit n - 1 - i for s_i, and that bit plus itself shifted up by n
-        for t_i: the low n bits mark dimensions, the high n the vertex.
-        None unless the ground has q and the rank is n."""
-        n = self.rank
-        if self.ground.q is None or n != len(self.ground.pairs):
-            return None
-        bits = {}
-        for i, (s, t) in enumerate(self.ground.pairs):
-            bit = 1 << n - 1 - i
-            bits[s], bits[t] = bit, bit | bit << n
-        return bits
-
-    def _vertex(self, names: frozenset[str]) -> int | None:
-        """The vertex v with B(v) = ``names``, or None unless the ground has
-        q, the rank is n and ``names`` holds one of s_i, t_i for each i."""
-        bits = self._pair_bits
-        n = len(names)
-        if bits is None or 2 * n != len(bits):
-            return None
-        x = 0
-        for name in names:
-            x |= bits.get(name, 0)
-        full = (1 << n) - 1
-        return x >> n if x & full == full else None
-
     def _q_column(self, v: int, names: frozenset[str]):
         """``(js, d, column)``: the basis columns of B(v) = ``names`` in
         dimension order, D and the slot of q of its tableau, from the
         principal-pivot stack (class docstring); None when the stack meets
         a zero principal pivot or ``names`` is no basis."""
+        ground = self.ground
         n = len(names)
-        js = [i + n * (v >> n - 1 - i & 1) for i in range(n)]
+        js = ground.vertex_columns(v)
         stack = self._stack
         if not stack:
             entry = self._tableau(names)
             if entry is None:
                 return None
             rows, ns, d, t = entry
-            # The partner of column c is c +- n, and q is column 2n.
-            slots = [ns.index((c + n) % (2 * n)) for c in js] + [ns.index(2 * n)]
+            partners = ground.vertex_columns(v ^ (1 << n) - 1) + [ground.index(ground.q)]
+            slots = [ns.index(c) for c in partners]
             t = [t[rows.index(c)] for c in js]
             stack.append((v, 0, d, [[row[s] for s in slots] for row in t]))
         state, k, d, t = stack[-1]
@@ -399,8 +373,9 @@ class RealizedOM:
         names = frozenset(basis)
         if e in names:
             raise ValueError("oracle element must lie outside the queried set")
-        j_e = self.ground.index(e)
-        v = self._vertex(names) if e == self.ground.q else None
+        ground = self.ground
+        j_e = ground.index(e)
+        v = ground.basis_vertex(names) if e == ground.q else None
         found = None if v is None else self._q_column(v, names)
         if found is None:
             entry = self._tableau(names)
@@ -410,7 +385,7 @@ class RealizedOM:
             s = ns.index(j_e)
             found = js, d, [row[s] for row in t]
         js, d, column = found
-        return SignedSet(self.ground, *_signed_masks(js, column, j_e, d > 0))
+        return SignedSet(ground, *_signed_masks(js, column, j_e, d > 0))
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)

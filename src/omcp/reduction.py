@@ -1,9 +1,9 @@
 """From complementarity instances to cube orientations and back.
 
 Vertex v of the n-cube names the complementary basis B(v) that picks s_i
-when v_i = 0 and t_i when v_i = 1.  The outmap of v, the mask pair
-``(plus, zero)`` of :mod:`omcp.cube`, is read off the fundamental circuit
-C(B(v), q), in three cases:
+when v_i = 0 and t_i when v_i = 1, as :class:`omcp.signs.GroundSet` maps
+it.  The outmap of v, the mask pair ``(plus, zero)`` of :mod:`omcp.cube`,
+is read off the fundamental circuit C(B(v), q), in three cases:
 
 1. B(v) is not a basis: make v a sink, ``(0, 0)``.
 2. The entry at the basis element of dimension i vanishes: orient the
@@ -26,32 +26,24 @@ from .pmatroid import M1, MV2, MV3, verify_mv3_pair
 from .signs import GroundSet
 
 
-def vertex_basis(oracle_ground: GroundSet, v: int, n: int) -> frozenset[str]:
-    """B(v): dimension i contributes ground element i + n * v_i, in the
-    order s_1..s_n, t_1..t_n[, q] that every complementary ground set keeps."""
-    if oracle_ground.pairs is None or len(oracle_ground.pairs) != n:
-        raise ValueError("bit vector does not match complementary structure")
-    names = oracle_ground.elements
-    return frozenset([names[i + n * (v >> (n - 1 - i) & 1)] for i in range(n)])
-
-
 def _query(oracle, v: int, n: int):
     """(B(v), C(B(v), q) or NotABasis, partial outmap or None): one query for v.
 
     The half-edge of dimension i carries the negated entry of C(B(v), q)
-    at the basis element of that dimension, which is ground bit i + n * v_i
-    in the order s_1..s_n, t_1..t_n, q that every complementary ground set
-    keeps.  The outmap is None when B(v) is not a basis.
+    at the basis element of that dimension, whose ground index
+    ``GroundSet.vertex_columns`` gives.  The outmap is None when B(v) is
+    not a basis.
     """
     ground: GroundSet = oracle.ground
-    basis = vertex_basis(ground, v, n)
+    if ground.pairs is None or len(ground.pairs) != n:
+        raise ValueError("bit vector does not match complementary structure")
+    basis = ground.vertex_basis(v)
     answer = oracle.query(basis, ground.q)
     if isinstance(answer, NotABasis):
         return basis, answer, None
     neg, support = answer.neg_mask, answer.support_mask
     plus = zero = 0
-    for i in range(n):
-        k = i + n * (v >> (n - 1 - i) & 1)
+    for k in ground.vertex_columns(v):
         plus = plus << 1 | neg >> k & 1
         zero = zero << 1 | (support >> k & 1 ^ 1)
     return basis, answer, (plus, zero)

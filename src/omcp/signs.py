@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 MINUS, ZERO, PLUS = -1, 0, 1
 SIGNS = (MINUS, ZERO, PLUS)
@@ -110,11 +110,44 @@ class GroundSet:
             raise ValueError("ground set has no complementary structure")
         return self.pairs[i]
 
-    def complementary_basis(self, bits: Sequence[int]) -> frozenset[str]:
-        """Complementary n-set for a cube vertex: s_i when bit i is 0, else t_i."""
-        if self.pairs is None or len(bits) != len(self.pairs):
-            raise ValueError("bit vector does not match complementary structure")
-        return frozenset(t if b else s for (s, t), b in zip(self.pairs, bits))
+    @cached_property
+    def _dimensions(self) -> tuple[tuple[int, int, int], ...]:
+        """Per dimension i: vertex bit n - 1 - i and the indices i of s_i and i + n of t_i."""
+        n = self.n_pairs
+        return tuple([(1 << n - 1 - i, i, i + n) for i in range(n)])
+
+    @cached_property
+    def _vertex_bits(self) -> dict[str, int]:
+        """Per element: its dimension's vertex bit, for t_i also shifted up by n; 0 for q."""
+        n = self.n_pairs
+        bits = dict.fromkeys(self.elements, 0)
+        for bit, s, t in self._dimensions:
+            bits[self.elements[s]], bits[self.elements[t]] = bit, bit | bit << n
+        return bits
+
+    def vertex_columns(self, v: int) -> list[int]:
+        """Ground indices of B(v), in dimension order: dimension i is index
+        i + n * v_i, where v_i is bit n - 1 - i of cube vertex v."""
+        return [t if v & bit else s for bit, s, t in self._dimensions]
+
+    def vertex_basis(self, v: int) -> frozenset[str]:
+        """B(v), the complementary n-set of vertex v: s_i where v_i = 0, t_i where v_i = 1."""
+        return frozenset(map(self.elements.__getitem__, self.vertex_columns(v)))
+
+    def basis_vertex(self, names: Collection[str]) -> int | None:
+        """The vertex v with B(v) = ``names``, or None when ``names`` is no
+        complementary n-set (size checked first): n names meet all n
+        dimensions, the low n bits of their joined bits, iff none is q and
+        no pair is full."""
+        n = self.n_pairs
+        if len(names) != n:
+            return None
+        bits = self._vertex_bits
+        x = 0
+        for name in names:
+            x |= bits[name] if name in bits else self.index(name)  # raises on an unknown name
+        full = (1 << n) - 1
+        return x >> n if x & full == full else None
 
     def is_complementary_set(self, names: Iterable[str]) -> bool:
         """True if the set contains neither q nor any full complementary pair."""

@@ -13,7 +13,10 @@ is its two masks; only ``signs`` reads the derived ``.signs`` tuple.  An
 outmap is its two masks ``(plus, zero)``; outside ``cube`` no library
 module subscripts, iterates or ``in``-tests what ``.outmap(``,
 ``orient_vertex_total``, ``orient_vertex_partial`` or ``plcp_orientation``
-return, whether directly or through a name bound to it.
+return, whether directly or through a name bound to it.  Outside
+``signs``, which holds the complementary vertex map, no library module
+computes a ground index from a vertex bit (``n * (... & 1)``) or a
+partner column (``% (2 * n)``).
 """
 
 import ast
@@ -205,5 +208,44 @@ def test_only_cube_reads_into_an_outmap():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "cube.py"
         for line in _outmap_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def _is_bit(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+    )
+
+
+def _is_double(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(isinstance(x, ast.Constant) and x.value == 2 for x in (node.left, node.right))
+    )
+
+
+def _vertex_column_arithmetic(tree: ast.Module) -> list[int]:
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and (
+            isinstance(node.op, ast.Mult) and (_is_bit(node.left) or _is_bit(node.right))
+            or isinstance(node.op, ast.Mod) and _is_double(node.right)
+        )
+    )
+
+
+def test_only_signs_maps_vertices_to_columns():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "signs.py"
+        for line in _vertex_column_arithmetic(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []

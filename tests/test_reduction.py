@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +37,6 @@ from omcp.reduction import (
     map_back_uv1,
     orient_vertex_partial,
     orient_vertex_total,
-    vertex_basis,
 )
 from omcp.signs import GroundSet
 
@@ -52,10 +52,10 @@ def realized(m_rows, q_values):
 
 def test_vertex_basis_map():
     g = GroundSet.complementary(2, with_q=True)
-    assert vertex_basis(g, 0b00, 2) == {"s1", "s2"}
-    assert vertex_basis(g, 0b01, 2) == {"s1", "t2"}
-    assert vertex_basis(g, 0b10, 2) == {"t1", "s2"}
-    assert vertex_basis(g, 0b11, 2) == {"t1", "t2"}
+    assert g.vertex_basis(0b00) == {"s1", "s2"}
+    assert g.vertex_basis(0b01) == {"s1", "t2"}
+    assert g.vertex_basis(0b10) == {"t1", "s2"}
+    assert g.vertex_basis(0b11) == {"t1", "t2"}
 
 
 @pytest.mark.parametrize(
@@ -65,7 +65,7 @@ def test_vertex_basis_map():
 )
 def test_vertex_basis_needs_a_matching_complementary_structure(ground, n):
     with pytest.raises(ValueError, match="complementary structure"):
-        vertex_basis(ground, 0, n)
+        orient_vertex_total(SimpleNamespace(ground=ground), 0, n)
 
 
 def test_orientation_one_edge_uso(ext):
@@ -207,7 +207,7 @@ def test_map_back_uv1_checks_the_pair_before_mv2():
     # tests/data/lcp3_singular.json: B(001) is singular, so 001 is a sink,
     # and 011 points back at it along dimension 1: no violation, so no MV2.
     oracle = realized([[0, 3, -2], [2, -3, -2], [-3, -1, 0]], [3, -2, 0])
-    assert not oracle.is_basis(vertex_basis(oracle.ground, 0b001, 3))
+    assert not oracle.is_basis(oracle.ground.vertex_basis(0b001))
     with pytest.raises(ValueError, match="not a Szabo-Welzl violation"):
         map_back_uv1(oracle, 0b001, 0b011, 3)
 

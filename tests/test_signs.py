@@ -68,7 +68,7 @@ def test_complementary_ground_structure():
     g = GroundSet.complementary(2, with_q=True)
     assert g.elements == ("s1", "s2", "t1", "t2", "q")
     assert g.pair(0) == ("s1", "t1")
-    assert g.complementary_basis([0, 1]) == {"s1", "t2"}
+    assert g.vertex_basis(0b01) == {"s1", "t2"}
     assert g.is_complementary_set({"s1", "t2"})
     assert not g.is_complementary_set({"s1", "t1"})
     assert not g.is_complementary_set({"s1", "q"})
@@ -76,6 +76,25 @@ def test_complementary_ground_structure():
         GroundSet.complementary(0)
     with pytest.raises(ValueError):
         GroundSet(("t1", "s1"), (("s1", "t1"),), None)
+
+
+@pytest.mark.parametrize("n, v", [(n, v) for n in range(1, 7) for v in range(1 << n)])
+def test_vertex_map_round_trips(n, v):
+    g = GroundSet.complementary(n, with_q=True)
+    by_name = frozenset(f"t{i + 1}" if v >> n - 1 - i & 1 else f"s{i + 1}" for i in range(n))
+    assert g.vertex_basis(v) == by_name
+    assert frozenset(g.elements[k] for k in g.vertex_columns(v)) == by_name
+    assert g.basis_vertex(g.vertex_basis(v)) == v
+    rest = by_name - set(g.pair(0))
+    assert g.basis_vertex(rest) is None
+    assert g.basis_vertex(by_name | {"q"}) is None
+    assert g.basis_vertex(rest | {"q"}) is None
+    if n > 1:
+        assert g.basis_vertex(by_name - set(g.pair(1)) | set(g.pair(0))) is None
+    with pytest.raises(ValueError, match="unknown"):
+        g.basis_vertex(rest | {"x"})
+    with pytest.raises(ValueError, match="complementary structure"):
+        GroundSet.plain(g.elements).basis_vertex(by_name)
 
 
 def test_encode_decode_roundtrip():
