@@ -101,7 +101,7 @@ def _orientation_dot(o: cube.Orientation) -> str:
 def cmd_om(args) -> int:
     if args.om_command == "check-axioms":
         instance = _load_explicit(args.instance, validate=False)
-        violation = check_circuit_axioms(instance.circuits, instance.ground)
+        violation = check_circuit_axioms(instance.circuits)
         if violation is None:
             _emit({"valid": True})
             return 0

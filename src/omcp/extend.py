@@ -228,7 +228,7 @@ def validate_localization(sigma: Localization) -> LocalizationValidation:
                 f"sigma(-Y)={sign_char(w)} but -sigma(Y)={sign_char(-v)}",
             )
     extension = materialize_extension(sigma)
-    violation = check_circuit_axioms(extension.circuits, extension.ground)
+    violation = check_circuit_axioms(extension.circuits)
     if violation is not None:
         return LocalizationValidation(
             valid=False, reason="extension circuit family fails the circuit axioms",

@@ -23,9 +23,10 @@ is, up to sign, the determinant of B with its i-th column replaced by
 a_j, an integer; p is then +-det B', the entries of T' are integer minors
 in the same way, and the division is exact (Edmonds 1967).  Elimination
 starts from the unit columns of the rows as the basis, with D = 1 and
-T = A, and exchanges them for columns of A; after that, the slots of the
-columns brought in hold D times the inverse of the scaled matrix they
-form, one unit column per slot.
+T = A, and exchanges them for columns of A.  A row multiplier scales
+every column alike, so the slot of a column a_j left outside the basis
+holds D * B^-1 a_j of the input rows themselves: :func:`invert` reads
+A^-1 C off the C slots of one elimination of [A | C].
 """
 
 from __future__ import annotations
@@ -71,19 +72,16 @@ def pivot(t: list[list[int]], r: int, c: int, d: int) -> list[list[int]]:
     return out
 
 
-def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int, list]:
+def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination, pivoting in the first ``width`` columns.
 
-    Entries may be Fractions or ints.  Returns ``(t, pivots, d, den, swaps)``.
+    Entries may be Fractions or ints.  Returns ``(t, pivots, d, den)``.
     ``t`` is the compact tableau of the scaled rows after one
     :func:`pivot` per pivot column; ``pivots`` lists those columns in
     increasing order and ``d`` is the last pivot.  Rows are swapped so that
-    the k-th pivot column is the basis element of row k, and ``swaps``
-    lists the swapped row pairs in order: replayed on the input row
-    numbers, they give the input row now at each row, and the slot of the
-    k-th pivot column holds the unit column of the input row now at row
-    k.  Every other column keeps its slot, and below ``width`` it is zero
-    in the rows past ``len(pivots)``.  For a square full-rank matrix,
+    the k-th pivot column is the basis element of row k.  Every other
+    column keeps its slot, and below ``width`` it is zero in the rows past
+    ``len(pivots)``.  For a square full-rank matrix,
     ``det(rows) = d / den``: ``den`` is the product of the positive row
     multipliers, negated for an odd number of row swaps.
     """
@@ -94,7 +92,6 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
         den *= mult
         t.append(ints)
     n_rows = len(t)
-    swaps = []
     pivots: list[int] = []
     d = 1
     r = 0
@@ -106,12 +103,11 @@ def _eliminate(rows: Matrix, width: int) -> tuple[list[list[int]], list[int], in
             continue
         if p != r:
             t[r], t[p] = t[p], t[r]
-            swaps.append((r, p))
             den = -den
         d, t = t[r][c], pivot(t, r, c, d)
         pivots.append(c)
         r += 1
-    return t, pivots, d, den, swaps
+    return t, pivots, d, den
 
 
 def pivot_columns(rows: Matrix) -> list[int]:
@@ -129,7 +125,7 @@ def det(rows: Matrix) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, den, _ = _eliminate(rows, n)
+    _, pivots, d, den = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(d, den)
@@ -137,34 +133,29 @@ def det(rows: Matrix) -> Fraction:
 
 def solve(rows: Matrix, b: Row) -> Row | None:
     """Solve the square system A x = b; None when A is singular."""
-    n = len(rows)
-    m, pivots, d, _, _ = _eliminate([list(rows[i]) + [b[i]] for i in range(n)], n)
-    if len(pivots) < n:
+    inv = invert(rows, [[x] for x in b])
+    if inv is None:
         return None
-    return [Fraction(m[i][n], d) for i in range(n)]
+    d, x = inv
+    return [Fraction(row[0], d) for row in x]
 
 
-def invert(rows: Matrix) -> tuple[int, list[list[int]]] | None:
-    """Exact inverse over a common denominator; None when singular.
+def invert(rows: Matrix, rhs: Matrix) -> tuple[int, list[list[int]]] | None:
+    """A^-1 C over a common denominator, for the square A = ``rows`` and
+    C = ``rhs`` with as many rows; None when A is singular.
 
     Returns ``(d, N)`` with a non-zero integer ``d`` and an integer
-    matrix ``N`` such that the inverse is ``N / d``.  ``d`` may be
-    negative, so the sign of an entry of the inverse times ``x`` is
-    ``sign(d) * sign(N x)``.  The elimination runs on the matrix itself:
-    afterwards the slot of column k holds d times column ``order[k]`` of
-    the inverse, divided by the multiplier of input row ``order[k]``,
-    where ``order[k]`` is the input row now at row k.
+    matrix ``N`` such that A^-1 C = ``N / d``; C = I gives the inverse.
+    ``d`` may be negative, so the sign of an entry of A^-1 C is
+    ``sign(d) * sign(N)``.  ``N`` is the C slots of one elimination of
+    [A | C] (module docstring): with integer entries, ``d`` is +-det A and
+    ``N`` the compact tableau of A's columns on C's.
     """
     n = len(rows)
-    t, pivots, d, _, swaps = _eliminate(rows, n)
+    t, pivots, d, _ = _eliminate([list(a) + list(c) for a, c in zip(rows, rhs)], n)
     if len(pivots) < n:
         return None
-    order = list(range(n))
-    for a, b in swaps:
-        order[a], order[b] = order[b], order[a]
-    slot = sorted(range(n), key=order.__getitem__)
-    mults = [integer_multiple(row)[0] for row in rows]
-    return d, [[row[slot[i]] * mults[i] for i in range(n)] for row in t]
+    return d, [row[n:] for row in t]
 
 
 def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
@@ -177,7 +168,7 @@ def kernel_vector_of_columns(columns: list[Row]) -> Row | None:
         return None
     height = len(columns[0])
     k = len(columns)
-    m, pivots, d, _, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
+    m, pivots, d, _ = _eliminate([[col[i] for col in columns] for i in range(height)], k)
     free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         return None

@@ -51,9 +51,7 @@ class AxiomViolation:
         return f"AxiomViolation({self.axiom}: {parts}{extra})"
 
 
-def check_circuit_axioms(
-    circuits: Iterable[SignedSet], ground: GroundSet | None = None
-) -> AxiomViolation | None:
+def check_circuit_axioms(circuits: Iterable[SignedSet]) -> AxiomViolation | None:
     """Return None when C0-C3 all hold, else the first violation found.
 
     C3 is decided by exhaustive search over circuit pairs and eliminable
@@ -63,8 +61,7 @@ def check_circuit_axioms(
     circs = sorted(set(circuits), key=lambda c: c.encode())
     if not circs:
         return None
-    if ground is None:
-        ground = circs[0].ground
+    ground = circs[0].ground
     if any(c.ground != ground for c in circs):
         raise ValueError("circuits live on different ground sets")
 
@@ -270,7 +267,7 @@ class ExplicitOM:
             raise ValueError("'circuits' must be a list of sign strings")
         om = cls.from_encoded(ground, circuits)
         if validate:
-            violation = check_circuit_axioms(om.circuits, ground)
+            violation = check_circuit_axioms(om.circuits)
             if violation is not None:
                 raise ValueError(f"circuit axioms fail: {violation!r}")
         return om

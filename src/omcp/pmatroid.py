@@ -116,17 +116,17 @@ def certificate_from_json(d: dict, ground: GroundSet | None = None) -> Certifica
 # -- P-matroid structure --------------------------------------------------
 
 
-def is_sign_reversing(circuit: SignedSet, ground: GroundSet | None = None) -> bool:
+def is_sign_reversing(circuit: SignedSet) -> bool:
     """Opposite signs on every complementary pair contained in the support.
 
     A circuit whose support contains no complementary pair satisfies the
     condition vacuously and is reported as sign-reversing; inside a genuine
     P-matroid extension such circuits cannot exist within S u T.
     """
-    g = ground if ground is not None else circuit.ground
-    if g.pairs is None:
+    pairs = circuit.ground.pairs
+    if pairs is None:
         raise ValueError("sign-reversal needs a complementary ground set")
-    for s, t in g.pairs:
+    for s, t in pairs:
         a, b = circuit.sign_of(s), circuit.sign_of(t)
         if a != ZERO and b != ZERO and a != -b:
             return False
@@ -139,7 +139,7 @@ def find_sign_reversing_circuit(om) -> SignedSet | None:
     if ground.pairs is None or ground.q is not None:
         raise ValueError("expected a complementary ground set without q")
     for c in sorted(om.circuit_set(), key=lambda x: x.encode()):
-        if is_sign_reversing(c, ground):
+        if is_sign_reversing(c):
             return c
     return None
 
@@ -173,7 +173,7 @@ def complementary_vertex_sets(ground: GroundSet):
     n = ground.n_pairs
     check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     for v in range(1 << n):
-        yield v, ground.vertex_basis(v)
+        yield ground.vertex_basis(v)
 
 
 def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
@@ -181,7 +181,7 @@ def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
     ground: GroundSet = oracle.ground
     if ground.q is None:
         raise ValueError("expected an extension oracle with element q")
-    for _, basis in complementary_vertex_sets(ground):
+    for basis in complementary_vertex_sets(ground):
         if isinstance(oracle.query(basis, ground.q), NotABasis):
             return basis
     return None
@@ -223,7 +223,7 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     without an easily extracted certificate).
     """
     ground: GroundSet = oracle.ground
-    for _, basis in complementary_vertex_sets(ground):
+    for basis in complementary_vertex_sets(ground):
         answer = oracle.query(basis, ground.q)
         if isinstance(answer, NotABasis):
             return MV2(basis)
@@ -235,7 +235,7 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
 def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
     """Some complementary basis B with C(B, q) vanishing on part of B."""
     ground: GroundSet = oracle.ground
-    for _, basis in complementary_vertex_sets(ground):
+    for basis in complementary_vertex_sets(ground):
         answer = oracle.query(basis, ground.q)
         if isinstance(answer, NotABasis):
             raise ValueError(f"complementary set {sorted(basis)} is not a basis")
@@ -278,14 +278,14 @@ def verify_mv1(cert: MV1, om) -> bool:
         return False
     if ground.q is not None and z.sign_of(ground.q) != ZERO:
         return False
-    return z in om.circuit_set() and is_sign_reversing(z, ground)
+    return z in om.circuit_set() and is_sign_reversing(z)
 
 
 def verify_mv2(cert: MV2, oracle) -> bool:
     ground: GroundSet = oracle.ground
     if ground.q is None or len(cert.basis) != ground.n_pairs:
         return False
-    if not ground.is_complementary_set(cert.basis):
+    if not cert.basis.issubset(ground.elements) or not ground.is_complementary_set(cert.basis):
         return False
     return isinstance(oracle.query(cert.basis, ground.q), NotABasis)
 

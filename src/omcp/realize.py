@@ -3,7 +3,9 @@
 A column configuration over the rationals realizes an oriented matroid
 whose circuits are the sign patterns of the minimal linear dependencies
 among columns.  :class:`RealizedOM` answers basis and fundamental
-circuit/cocircuit queries from exact integer basis tableaux, and reads
+circuit/cocircuit queries from exact integer basis tableaux, each first
+one read off a single ``linalg.invert`` of its basis on the other
+columns and every later one reached by exchanges, and reads
 its whole circuit and cocircuit sets off the tableaux of all its bases:
 every circuit is a fundamental circuit and every cocircuit a fundamental
 cocircuit of some basis.  The fundamental circuit C(B(v), q) of a
@@ -16,7 +18,6 @@ pair (M, q).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -110,18 +111,16 @@ def circuits_from_matrix(matrix: RationalMatrix, ground: GroundSet) -> ExplicitO
     return RealizedOM(matrix, ground).to_explicit()
 
 
-def _integer_tableau(cols: list[list[int]], js: list[int]):
-    """``(ns, d, t)``: the columns ``ns`` outside ``js``, in increasing
-    order, and the compact tableau ``t = d * B^-1 A`` on them, one slot
-    per column of ``ns`` (see :mod:`omcp.linalg`), for the integer
+def _integer_tableau(cols: list[list[int]], js: list[int], ns: list[int]):
+    """``(d, t)``: the compact tableau ``t = d * B^-1 A`` on the columns
+    ``ns``, one slot each (see :mod:`omcp.linalg`), for the integer
     columns ``cols`` of A and B their square submatrix on the columns
     ``js``, from one ``linalg.invert``; None when B is singular."""
-    inv = linalg.invert([[cols[j][i] for j in js] for i in range(len(js))])
-    if inv is None:
-        return None
-    d, rows = inv
-    ns = [j for j in range(len(cols)) if j not in js]
-    return ns, d, [[sum(map(operator.mul, row, cols[j])) for j in ns] for row in rows]
+    height = range(len(js))
+    return linalg.invert(
+        [[cols[j][i] for j in js] for i in height],
+        [[cols[j][i] for j in ns] for i in height],
+    )
 
 
 def is_generic(matrix: RationalMatrix) -> bool:
@@ -145,7 +144,7 @@ def is_generic(matrix: RationalMatrix) -> bool:
     basis = linalg.pivot_columns([[col[i] for col in cols] for i in range(r)])
     if len(basis) < r:
         return False
-    t = _integer_tableau(cols, basis)[2]
+    t = _integer_tableau(cols, basis, [j for j in range(m) if j not in basis])[1]
     if any(0 in row for row in t):
         return False
     for k in range(2, min(r, m - r) + 1):
@@ -204,7 +203,8 @@ class RealizedOM:
     r x (m - r) integers (None when B is singular).  C(B, e) is read off
     the slot of e and C*(B, e) off the row of e, with D at e and 0 at the
     other basis columns, both times sign(D), without further arithmetic.
-    Only the first tableau is factored, by ``linalg.invert``; every other
+    Only the first tableau is factored: ``linalg.invert`` eliminates B
+    together with the other columns once, and its result is T.  Every other
     basis is walked to from the tableau used last, one ``linalg.pivot``
     per entering column: the leaving column takes over the entering
     column's slot, with D in its own row and -T[i][c] in every other row
@@ -218,13 +218,15 @@ class RealizedOM:
     from a principal-pivot stack that caches nothing per vertex.  An entry
     holds a vertex, its D and n rows in dimension order, on the slots of
     the dimensions >= max(k - 1, 0) and of q, last, where dimensions < k
-    are fixed.  The bottom, k = 0, is the cached tableau of the first
-    complementary basis queried.  Vertex v pops the entries whose fixed
-    dimensions disagree with it.  Then, for each dimension j >= k where the
-    top differs from v, in increasing order, it cuts the rows to the slots
-    of dimensions >= j and of q, pivots at row j and the slot of j, and
-    pushes the result with k = j + 1; the undecided dimensions keep their
-    state.  The cut is exact: an exchange at (r, c) reads only row r and
+    are fixed.  The bottom, k = 0, is factored from the first vertex
+    queried, with its rows and slots already in dimension order; later
+    general queries walk from it, but it does not enter the basis cache,
+    and a singular first set is cached as no basis.  Vertex v pops the
+    entries whose fixed dimensions disagree with it.  Then, for each
+    dimension j >= k where the top differs from v, in increasing order, it
+    cuts the rows to the slots of dimensions >= j and of q, pivots at row
+    j and the slot of j, and pushes the result with k = j + 1; the
+    undecided dimensions keep their state.  The cut is exact: an exchange at (r, c) reads only row r and
     slot c and updates each other slot from itself, and no exchange above
     the new entry reads a slot below j.  So the stack holds at most n + 1
     entries, and a Gray walk or a vertex-order scan makes one pivot per
@@ -287,8 +289,9 @@ class RealizedOM:
         is no basis.
         """
         if self._last is None:
-            first = _integer_tableau(self._columns, target)
-            return None if first is None else (target, *first)
+            ns = [j for j in range(len(self._columns)) if j not in target]
+            first = _integer_tableau(self._columns, target, ns)
+            return None if first is None else (target, ns, *first)
         js, ns, d, t = self._last
         js, ns = list(js), list(ns)
         stays = set(target)
@@ -343,14 +346,15 @@ class RealizedOM:
         js = ground.vertex_columns(v)
         stack = self._stack
         if not stack:
-            entry = self._tableau(names)
-            if entry is None:
+            if n != self.rank:
                 return None
-            rows, ns, d, t = entry
-            partners = ground.vertex_columns(v ^ (1 << n) - 1) + [ground.index(ground.q)]
-            slots = [ns.index(c) for c in partners]
-            t = [t[rows.index(c)] for c in js]
-            stack.append((v, 0, d, [[row[s] for s in slots] for row in t]))
+            ns = ground.vertex_columns(~v) + [ground.index(ground.q)]
+            first = _integer_tableau(self._columns, js, ns)
+            if first is None:
+                self._basis_cache[names] = None
+                return None
+            self._last = js, ns, *first
+            stack.append((v, 0, *first))
         state, k, d, t = stack[-1]
         while (state ^ v) >> n - k:
             stack.pop()

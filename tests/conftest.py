@@ -51,8 +51,8 @@ def invert_calls(monkeypatch):
     calls = []
     original = linalg.invert
 
-    def counting(rows):
-        result = original(rows)
+    def counting(*args):
+        result = original(*args)
         calls.append(result is None)
         return result
 

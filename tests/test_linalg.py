@@ -64,7 +64,7 @@ def test_det_matches_leibniz(a):
 @settings(max_examples=200, deadline=None)
 @given(square_matrices())
 def test_invert_is_exact_over_common_denominator(a):
-    inv = linalg.invert(a)
+    inv = linalg.invert(a, [[int(i == j) for j in range(len(a))] for i in range(len(a))])
     if leibniz_det(a) == 0:
         assert inv is None
         return
@@ -89,6 +89,30 @@ def test_solve_satisfies_system(case):
         return
     n = len(a)
     assert all(sum(a[i][j] * x[j] for j in range(n)) == b[i] for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(matrices(n, n), st.integers(1, 3).flatmap(lambda k: matrices(n, k)))
+    )
+)
+def test_invert_solves_for_several_columns(case):
+    a, c = case
+    inv = linalg.invert(a, c)
+    if leibniz_det(a) == 0:
+        assert inv is None
+        assert linalg.solve(a, [row[0] for row in c]) is None
+        return
+    d, num = inv
+    n, k = len(a), len(c[0])
+    assert isinstance(d, int) and d != 0
+    assert all(isinstance(v, int) for row in num for v in row)
+    for i in range(n):
+        for j in range(k):
+            assert sum(a[i][m] * num[m][j] for m in range(n)) == d * c[i][j]
+    one = linalg.invert(a, [row[:1] for row in c])
+    assert linalg.solve(a, [row[0] for row in c]) == [Fraction(row[0], one[0]) for row in one[1]]
 
 
 @settings(max_examples=200, deadline=None)

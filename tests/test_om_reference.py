@@ -194,7 +194,7 @@ def ref_check_circuit_axioms(circuits, ground=None):
 
 
 def axiom_outcome(check, om):
-    v = check(om.circuits, om.ground)
+    v = check(om.circuits)
     return None if v is None else (v.axiom, v.witnesses, v.element)
 
 

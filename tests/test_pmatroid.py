@@ -155,7 +155,7 @@ def test_uniqueness_of_solution_on_p_extensions(ext, ext_degenerate):
         hits = []
         from omcp.pmatroid import complementary_vertex_sets
 
-        for _, basis in complementary_vertex_sets(oracle.ground):
+        for basis in complementary_vertex_sets(oracle.ground):
             answer = oracle.query(basis, "q")
             if answer.neg_mask == 0:
                 hits.append(answer)
@@ -181,6 +181,14 @@ def test_verify_mv2():
     assert verify_certificate(MV2(frozenset({"t1"})), oracle)
     assert not verify_certificate(MV2(frozenset({"s1"})), oracle)
     assert not verify_certificate(MV2(frozenset({"s1", "t1"})), oracle)
+
+
+@pytest.mark.parametrize("basis", [{"x1", "x2"}, {"s1", "zz"}])
+def test_verify_mv2_rejects_names_outside_the_ground_set(basis):
+    matrix = plcp_matrix(RationalMatrix.from_rows([[1, 0], [0, 1]]), (Fraction(1), Fraction(1)))
+    oracle = RealizedOM(matrix, GroundSet.complementary(2, with_q=True))
+    for instance in (oracle, oracle.to_explicit()):
+        assert not verify_certificate(MV2(frozenset(basis)), instance)
 
 
 def test_verify_mv3_through_oracle(ext):

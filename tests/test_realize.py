@@ -133,7 +133,7 @@ def test_realized_circuits_pass_axioms():
         m = RationalMatrix(tuple(tuple(r) for r in rows))
         ground = GroundSet.plain([f"e{i}" for i in range(2 * n + 1)])
         om = circuits_from_matrix(m, ground)
-        assert check_circuit_axioms(om.circuits, ground) is None
+        assert check_circuit_axioms(om.circuits) is None
 
 
 def test_matrix_rank_equals_om_rank():

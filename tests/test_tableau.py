@@ -162,6 +162,16 @@ def test_singular_sets_are_found_without_factoring(invert_calls, name):
         assert orientation.outmap(v) == orient_vertex_total(lcp_oracle(m, q), v, n)
 
 
+def test_singular_first_set_is_factored_once(invert_calls):
+    # Columns s1 = s2 = (1, 0), t1 = (0, 1), t2 = (1, 1), q = (1, 2):
+    # B(0) = {s1, s2} is singular, and the fallback reads that off the cache.
+    matrix = RationalMatrix.from_rows([[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]])
+    oracle = RealizedOM(matrix, GroundSet.complementary(2, with_q=True))
+    orientation = klaus_orientation(oracle, 2).materialize()
+    assert invert_calls == [True, False]
+    assert orientation.to_outmaps() == ["--", "-+", "++", "++"]
+
+
 def test_far_jump_pivots_once_per_entering_column(invert_calls, monkeypatch):
     rng = random.Random(9)
     m = random_p_matrix(8, rng)
@@ -295,7 +305,7 @@ def test_gray_walk_pivots_on_rows_that_shrink(invert_calls, monkeypatch):
     # The pivot at dimension j sees the slots of dimensions j..n-1 and of q.
     assert all(c == 0 and widths == {8 - r + 1} for r, c, widths, _ in calls)
     assert sum(entries for *_, entries in calls) == 6056
-    assert len(oracle._basis_cache) <= 1
+    assert len(oracle._basis_cache) == 0
     fresh = lcp_oracle(m, q)
     for v in range(0, 256, 17):
         assert orientation.outmap(v) == orient_vertex_total(fresh, v, 8)
