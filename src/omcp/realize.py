@@ -132,10 +132,18 @@ def is_generic(matrix: RationalMatrix) -> bool:
     its compact tableau on the m - r other columns, from one
     ``linalg.invert``.  An r-subset S is a basis iff the k x k minor of T
     on the rows of B - S and the columns of S - B is non-zero, k = |S - B|:
-    by Cramer's rule that minor is +-D^(k-1) det A_S.  So the entries of T
-    settle k = 1, and each k >= 2 takes one ``linalg.det`` per k x k minor,
-    C(r, k) C(m - r, k) of them: C(m, r) - 1 minors in all, instead of
-    C(m, r) determinants of size r.  Stops at the first zero.
+    by Cramer's rule that minor is +-D^(k-1) det A_S.  So C(m, r) - 1
+    minors of T, C(r, k) C(m - r, k) of each size k, take the place of
+    C(m, r) determinants of size r.
+
+    The minors come level by level, each k x k minor on rows R and
+    columns C by Laplace expansion along the last row of R: the sum over
+    the i-th j in C of (-1)^i T[max R][j] times the minor on R - max R and
+    C - j, one level down.  The cofactor sign is (-1)^(k-1+i), so a level
+    holds its minors times one common sign, which no zero test sees.
+    Level 0 is the empty minor 1, so level 1 is the entries of T.  That is
+    k integer products per minor, and only two levels are kept, at most
+    max_k C(r, k) C(m - r, k) integers.  Stops at the first zero.
     """
     r, m = matrix.rows, matrix.cols
     if m < r:
@@ -145,13 +153,27 @@ def is_generic(matrix: RationalMatrix) -> bool:
     if len(basis) < r:
         return False
     t = _integer_tableau(cols, basis, [j for j in range(m) if j not in basis])[1]
-    if any(0 in row for row in t):
-        return False
-    for k in range(2, min(r, m - r) + 1):
-        for ii in itertools.combinations(t, k):
-            for jj in itertools.combinations(range(m - r), k):
-                if linalg.det([[row[j] for j in jj] for row in ii]) == 0:
+    # minors[R][C]: the minor on the row tuple R and the slot mask C, up to
+    # the sign of its level.
+    minors = {(): {0: 1}}
+    for k in range(1, min(r, m - r) + 1):
+        slots = [
+            (sum(1 << j for j in cc), cc)
+            for cc in itertools.combinations(range(m - r), k)
+        ]
+        level = {}
+        for rr in itertools.combinations(range(r), k):
+            row, below = t[rr[-1]], minors[rr[:-1]]
+            level[rr] = here = {}
+            for mask, cc in slots:
+                s, e = 0, 1
+                for j in cc:
+                    s += e * row[j] * below[mask ^ 1 << j]
+                    e = -e
+                if not s:
                     return False
+                here[mask] = s
+        minors = level
     return True
 
 

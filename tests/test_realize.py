@@ -8,7 +8,6 @@ one-dimensional kernel.
 
 import collections
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -201,18 +200,67 @@ def test_is_generic_matches_the_determinant_scan():
 
 def test_is_generic_factors_one_basis(invert_calls, monkeypatch):
     m = random_p_matrix(6, random.Random(0))
-    sizes = collections.Counter()
+    det_calls = []
     original = linalg.det
 
     def counting(rows):
-        sizes[len(rows)] += 1
+        det_calls.append(len(rows))
         return original(rows)
 
     monkeypatch.setattr(linalg, "det", counting)
     assert is_generic(hstack(RationalMatrix.identity(6), negated(m)))
     assert invert_calls == [False]
-    # C(6, k)^2 minors of each size k >= 2; the 36 of size 1 are entries.
-    assert sizes == {k: math.comb(6, k) ** 2 for k in range(2, 7)}
+    # Every minor of the tableau comes from the level below it, none from det.
+    assert det_calls == []
+
+
+def planted_minor(n: int, k: int, rng: random.Random):
+    """``(rows, rr, cc)``: an n x n integer matrix with no zero entry whose
+    k x k block on the rows ``rr`` and columns ``cc`` is singular, its
+    last row an integer combination of the others there."""
+    while True:
+        rows = [[rng.choice([-1, 1]) * rng.randint(1, 999) for _ in range(n)] for _ in range(n)]
+        rr, cc = sorted(rng.sample(range(n), k)), sorted(rng.sample(range(n), k))
+        coefficients = [rng.choice([-2, -1, 1, 2]) for _ in range(k - 1)]
+        for j in cc:
+            rows[rr[-1]][j] = sum(c * rows[i][j] for c, i in zip(coefficients, rr[:-1]))
+        if all(all(row) for row in rows):
+            return rows, rr, cc
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_is_generic_finds_a_planted_minor_at_every_level(n):
+    # The determinant scan above meets only minors up to 4 x 4; here a
+    # single vanishing k x k minor of M sits at each level k of [I | -M],
+    # whose tableau on the first basis I is -M.
+    rng = random.Random(n)
+    outcomes = set()
+    for k in range(2, n + 1):
+        rows, rr, cc = planted_minor(n, k, rng)
+        assert linalg.det([[Fraction(rows[i][j]) for j in cc] for i in rr]) == 0
+        assert not is_generic(hstack(RationalMatrix.identity(n), negated(RationalMatrix.from_rows(rows))))
+        # Doubling an entry of the block adds that entry times its cofactor
+        # to the block's determinant and keeps every entry non-zero.
+        rows[rr[0]][cc[-1]] *= 2
+        perturbed = hstack(RationalMatrix.identity(n), negated(RationalMatrix.from_rows(rows)))
+        expected = reference_is_generic(perturbed)
+        assert is_generic(perturbed) == expected, (k, rows)
+        outcomes.add(expected)
+    assert True in outcomes
+
+
+def test_is_generic_matches_the_scan_on_adversary_bases():
+    # [I | -M] of seeded P-matrices, as random_uniform_base draws them,
+    # the draws it rejects included.
+    rng = random.Random(21)
+    seen = collections.Counter()
+    for n in range(2, 7):
+        for _ in range(12):
+            base = hstack(RationalMatrix.identity(n), negated(random_p_matrix(n, rng)))
+            expected = reference_is_generic(base)
+            assert is_generic(base) == expected, base.entries
+            seen[expected] += 1
+    assert seen[True] and seen[False]
 
 
 def test_size_guard():
