@@ -8,8 +8,13 @@ and localizations are closed under first-nonzero composition, so a
 composition list of atoms is kept symbolic; explicit cocircuit tables are
 supported as well.  The extension is never materialized on the main path:
 :class:`ExtensionOM` answers fundamental-circuit queries directly from
-the rule C(B, q)_e = -sigma(C*(B, e)), and is the one place that builds
-C(B, q).
+the rule C(B, q)_b = -sigma(C*(B, b)) for b in B, and is the one place
+that builds C(B, q).  An atom never needs the cocircuits themselves: by
+basis orthogonality C*(B, b)_e = -C(B, e)_b for e outside B, so [s*e]
+gives C(B, q) the entries s * C(B, e) on B, one base query, and for e in
+B it gives -s at e alone (Bjorner et al. 1999, section 3.4).  Only an
+explicit table reads fundamental cocircuits, for the elements of B that
+every atom leaves at zero.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .guards import DUALITY_ELEMENTS, check
 from .om import NOT_A_BASIS, AxiomViolation, ExplicitOM, NotABasis, check_circuit_axioms
-from .signs import PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char, sign_masks
+from .signs import MINUS, PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,9 @@ class Localization:
     Evaluation walks the atom list left to right and returns the first
     non-zero value; when all atoms vanish it falls back to the explicit
     table (if any), else to zero.  The base can be any representation with
-    ``ground``, ``is_basis`` and ``fundamental_cocircuits``; an explicit
-    table additionally needs ``cocircuits()``.
+    ``ground``, ``rank``, ``is_basis`` and the circuit oracle ``query``;
+    an explicit table additionally needs ``fundamental_cocircuits`` and
+    ``cocircuits()``.
     """
 
     base: object
@@ -138,8 +144,12 @@ class ExtensionOM:
     """Circuit oracle for the extension of ``sigma.base`` specified by sigma.
 
     Queries with e = q against a subset of the old ground set use the
-    localization rule; queries entirely inside the old ground set delegate
-    to the base.  Queries whose set contains q are outside the supported
+    localization rule (module docstring), atoms first: each one signs the
+    elements of B that the atoms before it left at zero, and the scan stops
+    once all of B is signed, so on a uniform base the first atom outside B
+    decides every entry.  C(B, e) is queried at most once per element e
+    outside B.  Queries entirely inside the old ground set delegate to the
+    base.  Queries whose set contains q are outside the supported
     surface and raise.
     """
 
@@ -165,12 +175,47 @@ class ExtensionOM:
                 return answer
             # q is the last element, so the base masks carry over as they are.
             return SignedSet(self.ground, answer.pos_mask, answer.neg_mask)
-        if not self.base.is_basis(names):
+        if len(names) != self.base.rank:
             return NOT_A_BASIS
-        signs = [ZERO] * (self.ground.size - 1) + [PLUS]
-        for b, d in self.base.fundamental_cocircuits(names).items():
-            signs[self.ground.index(b)] = -self.sigma.evaluate(d)
-        return SignedSet(self.ground, *sign_masks(signs))
+        ground = self.ground
+        free = 0  # the elements of B still at zero
+        for name in names:
+            free |= 1 << ground.index(name)
+        pos, neg = 1 << ground.size - 1, 0  # + at q
+        queried = False
+        seen = set()
+        for atom in self.sigma.atoms:
+            if not free:
+                break
+            if atom.sign == ZERO or atom.element in seen:
+                continue
+            seen.add(atom.element)
+            # (p, n): what [-e] adds, -C(B, e) for e outside B or + at e
+            # in B; [+e] adds the swap.
+            if atom.element in names:
+                p, n = 1 << ground.index(atom.element), 0
+            else:
+                circuit = self.base.query(names, atom.element)
+                if isinstance(circuit, NotABasis):
+                    return NOT_A_BASIS
+                queried = True
+                p, n = circuit.neg_mask, circuit.pos_mask
+            if atom.sign == PLUS:
+                p, n = n, p
+            pos, neg = pos | p & free, neg | n & free
+            free &= ~(p | n)
+        if not queried and not self.base.is_basis(names):
+            return NOT_A_BASIS
+        if free and self.sigma.table is not None:
+            for b, d in self.base.fundamental_cocircuits(names).items():
+                bit = 1 << ground.index(b)
+                if free & bit:
+                    s = self.sigma.evaluate(d)
+                    if s == MINUS:
+                        pos |= bit
+                    elif s == PLUS:
+                        neg |= bit
+        return SignedSet(ground, pos, neg)
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)

@@ -235,11 +235,11 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
 def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
     """Some complementary basis B with C(B, q) vanishing on part of B."""
     ground: GroundSet = oracle.ground
-    for basis in complementary_vertex_sets(ground):
+    for v, basis in enumerate(complementary_vertex_sets(ground)):
         answer = oracle.query(basis, ground.q)
         if isinstance(answer, NotABasis):
             raise ValueError(f"complementary set {sorted(basis)} is not a basis")
-        if any(answer.sign_of(e) == ZERO for e in basis):
+        if sum(1 << k for k in ground.vertex_columns(v)) & ~answer.support_mask:
             return True, basis
     return False, None
 

@@ -128,13 +128,13 @@ def is_generic(matrix: RationalMatrix) -> bool:
 
     Each column's denominators are cleared once; a positive column scaling
     cannot make a minor vanish, so the work is on integers.  B is the first
-    r independent columns, as elimination finds them, and T = D * B^-1 A
-    its compact tableau on the m - r other columns, from one
-    ``linalg.invert``.  An r-subset S is a basis iff the k x k minor of T
-    on the rows of B - S and the columns of S - B is non-zero, k = |S - B|:
-    by Cramer's rule that minor is +-D^(k-1) det A_S.  So C(m, r) - 1
-    minors of T, C(r, k) C(m - r, k) of each size k, take the place of
-    C(m, r) determinants of size r.
+    r independent columns, as one elimination of A finds them, and
+    T = D * B^-1 A its compact tableau, read off the slots of the m - r
+    other columns in that same elimination.  An r-subset S is a basis iff
+    the k x k minor of T on the rows of B - S and the columns of S - B is
+    non-zero, k = |S - B|: by Cramer's rule that minor is
+    +-D^(k-1) det A_S.  So C(m, r) - 1 minors of T, C(r, k) C(m - r, k)
+    of each size k, take the place of C(m, r) determinants of size r.
 
     The minors come level by level, each k x k minor on rows R and
     columns C by Laplace expansion along the last row of R: the sum over
@@ -149,10 +149,11 @@ def is_generic(matrix: RationalMatrix) -> bool:
     if m < r:
         return True
     cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(m)]
-    basis = linalg.pivot_columns([[col[i] for col in cols] for i in range(r)])
+    full, basis, _, _ = linalg._eliminate([[col[i] for col in cols] for i in range(r)], m)
     if len(basis) < r:
         return False
-    t = _integer_tableau(cols, basis, [j for j in range(m) if j not in basis])[1]
+    ns = [j for j in range(m) if j not in basis]
+    t = [[row[j] for j in ns] for row in full]
     # minors[R][C]: the minor on the row tuple R and the slot mask C, up to
     # the sign of its level.
     minors = {(): {0: 1}}

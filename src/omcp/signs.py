@@ -167,11 +167,16 @@ class GroundSet:
         return GroundSet(remaining)
 
     def extended_by_q(self) -> "GroundSet":
-        """This ground set with the extension element q appended last."""
+        """This ground set with the extension element q appended last; one
+        object per ground set, so every extension of one base shares it."""
         if self.q is not None:
             raise ValueError("ground set already has a distinguished element")
         if "q" in self.elements:
             raise ValueError("element name 'q' already in use")
+        return self._extended
+
+    @cached_property
+    def _extended(self) -> "GroundSet":
         return GroundSet(self.elements + ("q",), self.pairs, None if self.pairs is None else "q")
 
 

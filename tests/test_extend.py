@@ -19,6 +19,28 @@ from omcp.realize import RationalMatrix, RealizedOM, hstack, is_generic, negated
 from omcp.signs import MINUS, PLUS, SIGNS, ZERO, GroundSet, SignedSet
 
 
+def ref_extension_q(sigma, basis):
+    """C(B, q) from every fundamental cocircuit of B: the entry at b in B is
+    -sigma(C*(B, b)), the localization rule read straight off its definition."""
+    base = sigma.base
+    ground = base.ground.extended_by_q()
+    names = frozenset(basis)
+    if not base.is_basis(names):
+        return NOT_A_BASIS
+    signs = [ZERO] * (ground.size - 1) + [PLUS]
+    for b, d in base.fundamental_cocircuits(names).items():
+        signs[ground.index(b)] = -sigma.evaluate(d)
+    return SignedSet.from_signs(ground, signs)
+
+
+def outcome(query, *args):
+    """The answer, or the error text: a missing table entry raises."""
+    try:
+        return query(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def sigma_table_for_ext(pm):
     g = pm.ground
     return Localization(
@@ -205,15 +227,14 @@ def test_json_roundtrip(pm):
 
 
 def test_extension_query_scans_each_base_circuit_once(monkeypatch):
-    # n = 3 pairs: the explicit base has |E| = 6 elements and rank r = 3, so
-    # C(B, q) needs the n - r = 3 circuits C(B, f), f outside B, once each.
+    # n = 3 pairs: each explicit base has |E| = 6 elements and rank r = 3.
+    # C(B, q) reads C(B, e) for atoms [s*e] with e outside B only, at most
+    # once per atom and never more than once per element outside B, so
+    # at most n - r = 3 times.  On the uniform base the first atom outside
+    # B signs all of B and ends the scan after exactly one query; on the
+    # diagonal one C(B, t_i) signs s_i alone, so each repeat would query.
     m = random_p_matrix(3, random.Random(3))
-    matrix = hstack(RationalMatrix.identity(3), negated(m))
-    explicit = omcp_from_plcp(m, (0, 0, 0)).minor_delete("q")
-    realized = RealizedOM(matrix, GroundSet.complementary(3))
-    atoms = (LexAtom("t2", MINUS), LexAtom("s1", PLUS))
-    via_explicit = ExtensionOM(Localization(explicit, atoms))
-    via_realized = ExtensionOM(Localization(realized, atoms))
+    diagonal = RationalMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     calls = []
     original = ExplicitOM.query
 
@@ -222,8 +243,105 @@ def test_extension_query_scans_each_base_circuit_once(monkeypatch):
         return original(self, basis, e)
 
     monkeypatch.setattr(ExplicitOM, "query", counting)
-    for basis in explicit.bases():
-        before = len(calls)
-        answer = via_explicit.query(basis, "q")
-        assert len(calls) - before == 3
-        assert answer == via_realized.query(basis, "q")
+    for matrix, atom_lists in (
+        (m, [
+            (LexAtom("t2", MINUS), LexAtom("s1", PLUS)),
+            (LexAtom("s1", PLUS), LexAtom("t1", MINUS), LexAtom("t3", PLUS)),
+        ]),
+        (diagonal, [
+            tuple(LexAtom(e, s) for e in ("t1", "t2", "s3", "t3") for s in (MINUS, PLUS, MINUS)),
+        ]),
+    ):
+        explicit = omcp_from_plcp(matrix, (0, 0, 0)).minor_delete("q")
+        realized = RealizedOM(hstack(RationalMatrix.identity(3), negated(matrix)), explicit.ground)
+        uniform = explicit.is_uniform()
+        assert uniform == (matrix is m)
+        for atoms in atom_lists:
+            via_explicit = ExtensionOM(Localization(explicit, atoms))
+            via_realized = ExtensionOM(Localization(realized, atoms))
+            for basis in explicit.bases():
+                before = len(calls)
+                answer = via_explicit.query(basis, "q")
+                made = calls[before:]
+                outside = [a.element for a in atoms if a.element not in basis]
+                assert len(made) <= len(outside) and len(made) <= 3
+                assert len(set(made)) == len(made)
+                if atoms[0].element not in basis:
+                    assert made[:1] == [atoms[0].element]
+                    assert len(made) == 1 or not uniform
+                assert answer == via_realized.query(basis, "q")
+                assert answer == ref_extension_q(Localization(realized, atoms), basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extension_query_matches_the_cocircuit_rule(data):
+    # Entries in -1..1 make dependent r-subsets and zeros in C(B, e), so
+    # the later atoms and the table fill entries the first atom leaves.
+    n = data.draw(st.integers(1, 4), label="n")
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n),
+        label="M",
+    )
+    realized = RealizedOM(
+        hstack(RationalMatrix.identity(n), negated(RationalMatrix.from_rows(rows))),
+        GroundSet.complementary(n),
+    )
+    elements = realized.ground.elements
+    atoms = tuple(
+        LexAtom(e, s)
+        for e, s in data.draw(
+            st.lists(st.tuples(st.sampled_from(elements), st.sampled_from(SIGNS)), max_size=6),
+            label="atoms",
+        )
+    )
+    table = None
+    if data.draw(st.booleans(), label="with table"):
+        table = {}
+        for d in sorted(realized.cocircuits(), key=lambda c: c.encode()):
+            if d not in table and data.draw(st.integers(0, 9), label="keep") > 0:
+                value = data.draw(st.sampled_from(SIGNS), label="value")
+                table[d], table[d.negate()] = value, -value
+    for base in (realized, realized.to_explicit()):
+        sigma = Localization(base, atoms, table)
+        oracle = ExtensionOM(sigma)
+        for subset in itertools.combinations(elements, n):
+            new = outcome(oracle.query, subset, "q")
+            assert new == outcome(ref_extension_q, sigma, subset), (subset, atoms)
+            assert isinstance(new, str) or (new is NOT_A_BASIS) == (
+                not realized.is_basis(subset)
+            )
+
+
+def test_extension_query_agrees_on_every_adversary_localization():
+    from omcp.adversary import AdversaryState, random_uniform_base, run_game
+
+    class Recording(AdversaryState):
+        def answer(self, v):
+            out = super().answer(v)
+            seen.append(self.sigma)
+            return out
+
+    for n, algo, seed in ((2, "jump", 1), (3, "ordered-scan", 2), (4, "jump", 3), (4, "ordered-scan", 4)):
+        base = random_uniform_base(n, random.Random(seed))
+        seen = [Localization(base)]
+        result = run_game(algo, Recording(base))
+        seen.append(result.oracle.sigma)
+        for sigma in seen:
+            oracle = ExtensionOM(sigma)
+            for v in range(1 << n):
+                basis = base.ground.vertex_basis(v)
+                assert oracle.query(basis, "q") == ref_extension_q(sigma, basis), (n, v)
+
+
+def test_extension_oracles_of_one_base_share_the_extended_ground():
+    m = random_p_matrix(2, random.Random(7))
+    base = RealizedOM(hstack(RationalMatrix.identity(2), negated(m)), GroundSet.complementary(2))
+    extended = base.ground.extended_by_q()
+    assert ExtensionOM(Localization(base)).ground is extended
+    assert ExtensionOM(lex_localization(base, "t1", MINUS)).ground is extended
+    assert extended == GroundSet.complementary(2, with_q=True)
+    with pytest.raises(ValueError, match="already has a distinguished"):
+        extended.extended_by_q()
+    with pytest.raises(ValueError, match="already in use"):
+        GroundSet.plain(["a", "q"]).extended_by_q()

@@ -141,6 +141,48 @@ def test_degeneracy(ext, ext_degenerate):
     assert degenerate and witness == frozenset({"s1"})
 
 
+def test_is_degenerate_matches_a_scan_of_the_basis_signs():
+    # The witness is the first complementary basis, in vertex order, whose
+    # C(B, q) vanishes at some element of B; a non-basis still raises.
+    import random
+
+    from omcp.extend import ExtensionOM, LexAtom, Localization
+    from omcp.plcp import random_p_matrix
+    from omcp.pmatroid import complementary_vertex_sets
+    from omcp.realize import hstack, negated
+
+    def reference(oracle):
+        for basis in complementary_vertex_sets(oracle.ground):
+            answer = oracle.query(basis, "q")
+            if any(answer.sign_of(e) == 0 for e in basis):
+                return True, basis
+        return False, None
+
+    found = set()
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 1 + seed % 3
+        base = RealizedOM(
+            hstack(RationalMatrix.identity(n), negated(random_p_matrix(n, rng))),
+            GroundSet.complementary(n),
+        )
+        elements = base.ground.elements
+        atoms = tuple(
+            LexAtom(rng.choice(elements), rng.choice((-1, 0, 1))) for _ in range(rng.randint(0, n))
+        )
+        oracle = ExtensionOM(Localization(base, atoms))
+        result = is_degenerate(oracle, n)
+        assert result == reference(oracle), (seed, atoms)
+        found.add(result[0])
+    assert found == {False, True}
+    singular = RealizedOM(
+        plcp_matrix(RationalMatrix.from_rows([[0]]), (Fraction(-1),)),
+        GroundSet.complementary(1, with_q=True),
+    )
+    with pytest.raises(ValueError, match="is not a basis"):
+        is_degenerate(singular, 1)
+
+
 def test_uniform_extension_not_degenerate():
     m = RationalMatrix.from_rows([[2, 0], [0, 3]])
     oracle = RealizedOM(

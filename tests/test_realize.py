@@ -201,15 +201,24 @@ def test_is_generic_matches_the_determinant_scan():
 def test_is_generic_factors_one_basis(invert_calls, monkeypatch):
     m = random_p_matrix(6, random.Random(0))
     det_calls = []
-    original = linalg.det
+    eliminations = []
+    original_det, original_eliminate = linalg.det, linalg._eliminate
 
     def counting(rows):
         det_calls.append(len(rows))
-        return original(rows)
+        return original_det(rows)
+
+    def eliminating(rows, width):
+        eliminations.append(width)
+        return original_eliminate(rows, width)
 
     monkeypatch.setattr(linalg, "det", counting)
+    monkeypatch.setattr(linalg, "_eliminate", eliminating)
     assert is_generic(hstack(RationalMatrix.identity(6), negated(m)))
-    assert invert_calls == [False]
+    # One elimination of all 12 columns finds B and leaves T in the slots
+    # of the other six; no second solve for the same T.
+    assert eliminations == [12]
+    assert invert_calls == []
     # Every minor of the tableau comes from the level below it, none from det.
     assert det_calls == []
 
