@@ -14,7 +14,9 @@ basis orthogonality C*(B, b)_e = -C(B, e)_b for e outside B, so [s*e]
 gives C(B, q) the entries s * C(B, e) on B, one base query, and for e in
 B it gives -s at e alone (Bjorner et al. 1999, section 3.4).  Only an
 explicit table reads fundamental cocircuits, for the elements of B that
-every atom leaves at zero.
+every atom leaves at zero.  The atoms are resolved once per oracle to
+their ground bits, and the base is asked through its mask core, with the
+mask of B and the index of e, so a query by cube vertex builds no names.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .guards import DUALITY_ELEMENTS, check
-from .om import NOT_A_BASIS, AxiomViolation, ExplicitOM, NotABasis, check_circuit_axioms
+from .om import AxiomViolation, CircuitOracle, ExplicitOM, NotABasis, check_circuit_axioms
 from .signs import MINUS, PLUS, SIGNS, ZERO, GroundSet, SignedSet, char_sign, sign_char
 
 
@@ -46,10 +48,11 @@ class Localization:
 
     Evaluation walks the atom list left to right and returns the first
     non-zero value; when all atoms vanish it falls back to the explicit
-    table (if any), else to zero.  The base can be any representation with
-    ``ground``, ``rank``, ``is_basis`` and the circuit oracle ``query``;
-    an explicit table additionally needs ``fundamental_cocircuits`` and
-    ``cocircuits()``.
+    table (if any), else to zero.  An :class:`ExtensionOM` asks the base
+    for C(B, e) through its mask core ``_circuit(mask, index)``, which
+    :class:`~omcp.om.ExplicitOM` and :class:`~omcp.realize.RealizedOM`
+    have, and for ``ground``, ``rank`` and ``is_basis``; an explicit table
+    additionally needs ``fundamental_cocircuits`` and ``cocircuits()``.
     """
 
     base: object
@@ -140,7 +143,7 @@ def extension_fundamental_circuit(sigma: Localization, basis: Iterable[str]) -> 
 
 
 @dataclass(frozen=True, eq=False)
-class ExtensionOM:
+class ExtensionOM(CircuitOracle):
     """Circuit oracle for the extension of ``sigma.base`` specified by sigma.
 
     Queries with e = q against a subset of the old ground set use the
@@ -163,59 +166,70 @@ class ExtensionOM:
     def base(self):
         return self.sigma.base
 
+    @cached_property
+    def _atoms(self) -> tuple[tuple[int, int, int], ...]:
+        """``(bit, index, sign)`` of each atom that can sign an element: the
+        first atom with a non-zero sign on each element, in list order."""
+        first: dict[str, int] = {}
+        for atom in self.sigma.atoms:
+            if atom.sign != ZERO:
+                first.setdefault(atom.element, atom.sign)
+        index = self.ground.index
+        return tuple([(1 << index(e), index(e), s) for e, s in first.items()])
+
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         names = frozenset(basis)
-        if e in names:
-            raise ValueError("oracle element must lie outside the queried set")
-        if "q" in names:
+        # _names_query raises first when e lies in the set.
+        if e not in names and "q" in names:
             raise ValueError("queries with q inside the basis are not supported")
-        if e != "q":
-            answer = self.base.query(names, e)
-            if isinstance(answer, NotABasis):
-                return answer
-            # q is the last element, so the base masks carry over as they are.
-            return SignedSet(self.ground, answer.pos_mask, answer.neg_mask)
-        if len(names) != self.base.rank:
-            return NOT_A_BASIS
-        ground = self.ground
-        free = 0  # the elements of B still at zero
-        for name in names:
-            free |= 1 << ground.index(name)
-        pos, neg = 1 << ground.size - 1, 0  # + at q
+        return self._names_query(names, e)
+
+    @property
+    def rank(self) -> int:
+        return self.base.rank
+
+    def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
+        """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``
+        of a subset B of the base and the index ``e``, or None when B is no
+        basis; the base's core answers every e but q, whose index is last,
+        so the base masks carry over as they are."""
+        base = self.base
+        if e != self.ground.size - 1:
+            return base._circuit(b, e)
+        if b.bit_count() != base.rank:
+            return None
+        free = b  # the elements of B still at zero
+        pos, neg = 1 << e, 0  # + at q
         queried = False
-        seen = set()
-        for atom in self.sigma.atoms:
+        for bit, k, sign in self._atoms:
             if not free:
                 break
-            if atom.sign == ZERO or atom.element in seen:
-                continue
-            seen.add(atom.element)
             # (p, n): what [-e] adds, -C(B, e) for e outside B or + at e
             # in B; [+e] adds the swap.
-            if atom.element in names:
-                p, n = 1 << ground.index(atom.element), 0
+            if b & bit:
+                p, n = bit, 0
             else:
-                circuit = self.base.query(names, atom.element)
-                if isinstance(circuit, NotABasis):
-                    return NOT_A_BASIS
+                circuit = base._circuit(b, k)
+                if circuit is None:
+                    return None
                 queried = True
-                p, n = circuit.neg_mask, circuit.pos_mask
-            if atom.sign == PLUS:
+                n, p = circuit
+            if sign == PLUS:
                 p, n = n, p
             pos, neg = pos | p & free, neg | n & free
             free &= ~(p | n)
-        if not queried and not self.base.is_basis(names):
-            return NOT_A_BASIS
+        if not queried and not base.is_basis(self.ground.names(b)):
+            return None
         if free and self.sigma.table is not None:
-            for b, d in self.base.fundamental_cocircuits(names).items():
-                bit = 1 << ground.index(b)
+            for element, d in base.fundamental_cocircuits(self.ground.names(b)).items():
+                bit = 1 << self.ground.index(element)
                 if free & bit:
                     s = self.sigma.evaluate(d)
                     if s == MINUS:
                         pos |= bit
                     elif s == PLUS:
                         neg |= bit
-        return SignedSet(ground, pos, neg)
+        return pos, neg
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)

@@ -6,7 +6,9 @@ uniformity, fundamental circuits, cocircuits read off the fundamental
 circuits by basis orthogonality, and single-element deletion.  It also
 implements the circuit oracle protocol ``query(B, e) -> NotABasis |
 SignedSet`` used throughout the pipeline, so explicit matroids can stand
-in wherever an oracle is expected.
+in wherever an oracle is expected.  This one, ``RealizedOM`` and
+``ExtensionOM`` share :class:`CircuitOracle`: both ``query`` and the
+vertex entry ``query_vertex(v)`` reach one mask core per oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .guards import DUALITY_ELEMENTS, check
-from .signs import PLUS, ZERO, GroundSet, SignedSet, sign_masks
+from .signs import ZERO, GroundSet, SignedSet
 
 
 class NotABasis:
@@ -101,8 +103,37 @@ def check_circuit_axioms(circuits: Iterable[SignedSet]) -> AxiomViolation | None
     return None
 
 
+class CircuitOracle:
+    """The names path and the vertex entry of a circuit oracle, both over
+    its mask core ``_circuit(mask, index)``: C(B, e) as ``(pos_mask,
+    neg_mask)`` for the ground-index mask of B and the index of e, or None
+    when B is no basis.  Subclasses provide ``ground``, ``rank`` and the
+    core."""
+
+    def _names_query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
+        """``query(basis, e)``, checked in this order: e outside the set
+        (ValueError), e a ground element (ValueError), the set of the
+        rank's size (NotABasis before its names are looked up), then every
+        name (ValueError)."""
+        names = frozenset(basis)
+        if e in names:
+            raise ValueError("oracle element must lie outside the queried set")
+        ground: GroundSet = self.ground
+        j = ground.index(e)
+        if len(names) != self.rank:
+            return NOT_A_BASIS
+        found = self._circuit(ground.mask(names), j)
+        return NOT_A_BASIS if found is None else SignedSet(ground, *found)
+
+    def query_vertex(self, v: int) -> tuple[int, int] | None:
+        """C(B(v), q) for cube vertex v, from the mask of B(v) with no names
+        built, as :func:`vertex_answer` returns it."""
+        ground: GroundSet = self.ground
+        return self._circuit(ground.vertex_mask(v), ground.index(ground.q))
+
+
 @dataclass(frozen=True)
-class ExplicitOM:
+class ExplicitOM(CircuitOracle):
     """Oriented matroid given by its full circuit collection."""
 
     ground: GroundSet
@@ -120,21 +151,15 @@ class ExplicitOM:
         return self.circuits
 
     @cached_property
-    def _circuit_masks(self) -> tuple[tuple[int, int, SignedSet], ...]:
-        """``(pos_mask, support_mask, circuit)`` for every circuit."""
-        return tuple((c.pos_mask, c.support_mask, c) for c in self.circuits)
-
-    def _mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for name in names:
-            m |= 1 << self.ground.index(name)
-        return m
+    def _circuit_masks(self) -> tuple[tuple[int, int], ...]:
+        """``(pos_mask, support_mask)`` for every circuit."""
+        return tuple((c.pos_mask, c.support_mask) for c in self.circuits)
 
     def _independent(self, m: int) -> bool:
-        return not any(sm & ~m == 0 for _, sm, _ in self._circuit_masks)
+        return not any(sm & ~m == 0 for _, sm in self._circuit_masks)
 
     def is_independent(self, subset: Iterable[str]) -> bool:
-        return self._independent(self._mask(subset))
+        return self._independent(self.ground.mask(subset))
 
     @cached_property
     def rank(self) -> int:
@@ -179,7 +204,12 @@ class ExplicitOM:
         return ExplicitOM(self.ground, self.cocircuits())
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """Circuit-oracle protocol: NotABasis, or the fundamental circuit C(B, e).
+        """Circuit-oracle protocol: NotABasis, or the fundamental circuit C(B, e)."""
+        return self._names_query(basis, e)
+
+    def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
+        """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``
+        of B and the index ``e``, or None when B is no basis.
 
         One pass over the circuit masks decides both.  A set of the rank's
         size is a basis iff no circuit support lies inside it, and C(B, e)
@@ -187,23 +217,19 @@ class ExplicitOM:
         takes precedence over the errors for a circuit set that is no
         matroid, so the pass finishes before either is raised.
         """
-        names = frozenset(basis)
-        if e in names:
-            raise ValueError("oracle element must lie outside the queried set")
-        e_bit = 1 << self.ground.index(e)
-        if len(names) != self.rank:
-            return NOT_A_BASIS
-        b_mask = self._mask(names)
+        if b.bit_count() != self.rank:
+            return None
+        e_bit = 1 << e
         found = None
         unique = True
-        for pos, support, c in self._circuit_masks:
-            outside = support & ~b_mask
+        for pos, support in self._circuit_masks:
+            outside = support & ~b
             if not outside:
-                return NOT_A_BASIS
+                return None
             if outside == e_bit and pos & e_bit:
                 if found is not None:
                     unique = False
-                found = c
+                found = pos, support ^ pos
         if not unique:
             raise ValueError("fundamental circuit is not unique; not a matroid")
         if found is None:
@@ -222,23 +248,24 @@ class ExplicitOM:
 
     def fundamental_cocircuits(self, basis: Iterable[str]) -> dict[str, SignedSet]:
         """C*(B, e) for every e in B, by basis orthogonality: + at e, 0 on B
-        minus e, and -C(B, f)_e at each f outside B.  Each C(B, f) is queried
+        minus e, and -C(B, f)_e at each f outside B.  Each C(B, f) is read
         once and shared across the elements of B."""
         names = frozenset(basis)
         if not self.is_basis(names):
             raise ValueError("fundamental cocircuits are defined for bases only")
-        outside = [
-            (k, self.query(names, f))
-            for k, f in enumerate(self.ground.elements)
-            if f not in names
-        ]
+        ground = self.ground
+        b = ground.mask(names)
+        outside = [(1 << f, self._circuit(b, f)) for f in range(ground.size) if not b >> f & 1]
         result = {}
         for e in names:
-            signs = [ZERO] * self.ground.size
-            signs[self.ground.index(e)] = PLUS
-            for k, c in outside:
-                signs[k] = -c.sign_of(e)
-            result[e] = SignedSet(self.ground, *sign_masks(signs))
+            bit = 1 << ground.index(e)
+            pos, neg = bit, 0
+            for f_bit, (c_pos, c_neg) in outside:
+                if c_neg & bit:
+                    pos |= f_bit
+                elif c_pos & bit:
+                    neg |= f_bit
+            result[e] = SignedSet(ground, pos, neg)
         return result
 
     def minor_delete(self, e: str) -> "ExplicitOM":
@@ -271,6 +298,22 @@ class ExplicitOM:
             if violation is not None:
                 raise ValueError(f"circuit axioms fail: {violation!r}")
         return om
+
+
+def vertex_answer(oracle, v: int) -> tuple[int, int] | None:
+    """C(B(v), q) for cube vertex v as ``(pos_mask, neg_mask)``, or None when
+    B(v) is not a basis.
+
+    The three oracles answer through their vertex entry ``query_vertex``,
+    which hands the ground-index mask of B(v) to their core with no names
+    built; any other object with ``ground`` and ``query`` is asked by name.
+    """
+    entry = getattr(oracle, "query_vertex", None)
+    if entry is not None:
+        return entry(v)
+    ground: GroundSet = oracle.ground
+    answer = oracle.query(ground.vertex_basis(v), ground.q)
+    return None if isinstance(answer, NotABasis) else (answer.pos_mask, answer.neg_mask)
 
 
 def ground_from_json(d: dict) -> GroundSet:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cube import is_sw_pair, vertex_from_name, vertex_name
 from .guards import OMCP_SCAN_DIM, check
-from .om import NotABasis
+from .om import NotABasis, vertex_answer
 from .signs import PLUS, ZERO, GroundSet, SignedSet
 
 
@@ -166,14 +166,22 @@ def is_p_matroid(om) -> PMatroidCheck:
 
 
 def complementary_vertex_sets(ground: GroundSet):
-    """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1).
-
-    Every scan over complementary sets runs through here, so the guard is
-    checked once, on the first set drawn."""
+    """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1),
+    by name; the guard is checked once, on the first set drawn.  The scans
+    below walk the vertices and ask the oracle's vertex entry instead."""
     n = ground.n_pairs
     check(n, OMCP_SCAN_DIM, "omcp scan dimension")
     for v in range(1 << n):
         yield ground.vertex_basis(v)
+
+
+def _vertices(oracle, n: int) -> range:
+    """The 2^n cube vertices of a scan over the complementary bases of an
+    oracle with n pairs; the guard is checked once, before any query."""
+    if oracle.ground.n_pairs != n:
+        raise ValueError("bit vector does not match complementary structure")
+    check(n, OMCP_SCAN_DIM, "omcp scan dimension")
+    return range(1 << n)
 
 
 def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
@@ -181,9 +189,9 @@ def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
     ground: GroundSet = oracle.ground
     if ground.q is None:
         raise ValueError("expected an extension oracle with element q")
-    for basis in complementary_vertex_sets(ground):
-        if isinstance(oracle.query(basis, ground.q), NotABasis):
-            return basis
+    for v in _vertices(oracle, n):
+        if vertex_answer(oracle, v) is None:
+            return ground.vertex_basis(v)
     return None
 
 
@@ -223,24 +231,24 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     without an easily extracted certificate).
     """
     ground: GroundSet = oracle.ground
-    for basis in complementary_vertex_sets(ground):
-        answer = oracle.query(basis, ground.q)
-        if isinstance(answer, NotABasis):
-            return MV2(basis)
-        if answer.neg_mask == 0:
-            return M1(answer)
+    for v in _vertices(oracle, n):
+        answer = vertex_answer(oracle, v)
+        if answer is None:
+            return MV2(ground.vertex_basis(v))
+        if answer[1] == 0:
+            return M1(SignedSet(ground, *answer))
     return None
 
 
 def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
     """Some complementary basis B with C(B, q) vanishing on part of B."""
     ground: GroundSet = oracle.ground
-    for v, basis in enumerate(complementary_vertex_sets(ground)):
-        answer = oracle.query(basis, ground.q)
-        if isinstance(answer, NotABasis):
-            raise ValueError(f"complementary set {sorted(basis)} is not a basis")
-        if sum(1 << k for k in ground.vertex_columns(v)) & ~answer.support_mask:
-            return True, basis
+    for v in _vertices(oracle, n):
+        answer = vertex_answer(oracle, v)
+        if answer is None:
+            raise ValueError(f"complementary set {sorted(ground.vertex_basis(v))} is not a basis")
+        if ground.vertex_mask(v) & ~(answer[0] | answer[1]):
+            return True, ground.vertex_basis(v)
     return False, None
 
 

@@ -3,14 +3,15 @@
 A column configuration over the rationals realizes an oriented matroid
 whose circuits are the sign patterns of the minimal linear dependencies
 among columns.  :class:`RealizedOM` answers basis and fundamental
-circuit/cocircuit queries from exact integer basis tableaux, each first
-one read off a single ``linalg.invert`` of its basis on the other
-columns and every later one reached by exchanges, and reads
-its whole circuit and cocircuit sets off the tableaux of all its bases:
-every circuit is a fundamental circuit and every cocircuit a fundamental
-cocircuit of some basis.  The fundamental circuit C(B(v), q) of a
-complementary basis comes from a principal-pivot stack instead, whose
-tableaux drop one column per fixed dimension and are not cached.  The
+circuit/cocircuit queries from exact integer basis tableaux, cached by
+basis mask, the first one read off a single ``linalg.invert`` of its
+basis on the other columns and every later one reached by exchanges, and
+reads its whole circuit and cocircuit sets off the tableaux of all its
+bases: every circuit is a fundamental circuit and every cocircuit a
+fundamental cocircuit of some basis.  The fundamental circuit C(B(v), q)
+of a complementary basis comes from a principal-pivot stack instead,
+whose tableaux drop one column per fixed dimension and are not cached;
+the vertex entry ``query_vertex(v)`` asks for it by cube vertex.  The
 module also builds the complementarity instance [I; -M; -q] from an LCP
 pair (M, q).
 """
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator
 
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
-from .om import NOT_A_BASIS, ExplicitOM, NotABasis
+from .om import CircuitOracle, ExplicitOM, NotABasis
 from .signs import GroundSet, SignedSet
 
 Vector = tuple[Fraction, ...]
@@ -213,7 +214,7 @@ def omcp_from_plcp(m: RationalMatrix, q: Vector) -> ExplicitOM:
     return RealizedOM(plcp_matrix(m, q), ground).to_explicit()
 
 
-class RealizedOM:
+class RealizedOM(CircuitOracle):
     """Circuit oracle backed by a rational realization.
 
     The oracle keeps a maximal independent set of the matrix rows, which
@@ -221,19 +222,27 @@ class RealizedOM:
     an integer copy A of its columns on those rows, each scaled by the
     positive lcm of its denominators, which leaves the oriented matroid
     unchanged too.  Each basis B caches its compact tableau (see
-    :mod:`omcp.linalg`): the basis column behind each row, the column
-    behind each slot, D = +-det B and T = D * B^-1 A on the slots only,
-    r x (m - r) integers (None when B is singular).  C(B, e) is read off
-    the slot of e and C*(B, e) off the row of e, with D at e and 0 at the
-    other basis columns, both times sign(D), without further arithmetic.
-    Only the first tableau is factored: ``linalg.invert`` eliminates B
-    together with the other columns once, and its result is T.  Every other
-    basis is walked to from the tableau used last, one ``linalg.pivot``
-    per entering column: the leaving column takes over the entering
-    column's slot, with D in its own row and -T[i][c] in every other row
-    i.  The dict stays for these queries: games, their transcript checks
-    and degeneracy scans revisit bases in vertex order, and walking there
-    anew costs many times the pivots.
+    :mod:`omcp.linalg`), keyed by the ground-index mask of B: the basis
+    column behind each row, the column behind each slot, D = +-det B and
+    T = D * B^-1 A on the slots only, r x (m - r) integers (None when B
+    is singular).  C(B, e) is read off the slot of e and C*(B, e) off the
+    row of e, with D at e and 0 at the other basis columns, both times
+    sign(D), without further arithmetic.  Only the first tableau is
+    factored: ``linalg.invert`` eliminates B together with the other
+    columns once, and its result is T.  Every other basis is walked to,
+    one ``linalg.pivot`` per entering column: the leaving column takes
+    over the entering column's slot, with D in its own row and -T[i][c] in
+    every other row i.  The walk starts from a cached basis that differs
+    from B in one complementary pair, one exchange, when there is one, and
+    from the tableau used last otherwise.  The dict stays for these
+    queries: games, their transcript checks and degeneracy scans revisit
+    bases in vertex order, and walking there anew costs many times the
+    pivots.
+
+    Every query reaches one mask core, ``_circuit(mask, index)``:
+    ``query(B, e)`` turns the names into a mask after its checks, and the
+    vertex entry ``query_vertex(v)`` asks for C(B(v), q) with the mask of
+    B(v), so no names are built on the way.
 
     C(B(v), q) of a complementary basis B(v) (ground with q, rank n; the
     map v <-> B(v) is :class:`GroundSet`'s) is the slot of q of the
@@ -249,12 +258,13 @@ class RealizedOM:
     dimension j >= k where the top differs from v, in increasing order, it
     cuts the rows to the slots of dimensions >= j and of q, pivots at row
     j and the slot of j, and pushes the result with k = j + 1; the
-    undecided dimensions keep their state.  The cut is exact: an exchange at (r, c) reads only row r and
-    slot c and updates each other slot from itself, and no exchange above
-    the new entry reads a slot below j.  So the stack holds at most n + 1
-    entries, and a Gray walk or a vertex-order scan makes one pivot per
-    vertex after the first.  A zero principal pivot goes to the cached
-    tableaux, as every other query does.
+    undecided dimensions keep their state.  The cut is exact: an exchange
+    at (r, c) reads only row r and slot c and updates each other slot from
+    itself, and no exchange above the new entry reads a slot below j.  So
+    the stack holds at most n + 1 entries, and a Gray walk or a
+    vertex-order scan makes one pivot per vertex after the first.  A zero
+    principal pivot goes to the cached tableaux, as every other query
+    does.
 
     The circuit and cocircuit sets are read off the tableaux of all bases,
     which one walk visits in lexicographic order without caching; a
@@ -277,51 +287,62 @@ class RealizedOM:
         self._basis_cache: dict = {}
         self._last = None
         self._stack: list[tuple[int, int, int, list[list[int]]]] = []
+        self._q = None if ground.q is None else ground.index(ground.q)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self._spanning.rows
 
-    def _column_indices(self, names: Iterable[str]) -> list[int]:
-        return sorted(map(self.ground.index, names))
-
-    def _tableau(self, names: frozenset[str]):
-        """``(js, ns, d, t)``, the compact tableau of ``names``, or None when
-        ``names`` is no basis.
+    def _tableau(self, b: int):
+        """``(js, ns, d, t)``, the compact tableau of the columns in the
+        ground-index mask ``b``, or None when they are no basis.
 
         Row k of ``t`` belongs to the basis column ``js[k]`` and slot s to
-        the column ``ns[s]``.  Cached per basis; the entry used last starts
-        the walk to the next miss.
+        the column ``ns[s]``.  Cached per basis mask; the entry used last
+        starts the walk to the next miss unless a cached basis lies one
+        exchange of a complementary pair away.
         """
-        if len(names) != self.rank:
+        if b.bit_count() != self.rank:
             return None
         cache = self._basis_cache
-        if names not in cache:
-            cache[names] = self._walk(self._column_indices(names))
-        entry = cache[names]
+        if b not in cache:
+            cache[b] = self._walk(b)
+        entry = cache[b]
         if entry is not None:
             self._last = entry
         return entry
 
-    def _walk(self, target: list[int]):
-        """The tableau of the columns ``target``, walked from the last one used.
+    def _names_tableau(self, names: frozenset[str]):
+        """:meth:`_tableau` of ``names``; a set of the wrong size is no basis
+        before its names are looked up."""
+        return self._tableau(self.ground.mask(names)) if len(names) == self.rank else None
 
-        Each entering column c, in increasing index, replaces the first
-        leaving row with a non-zero entry in the slot of c.  None when there
-        is no such row: then c depends on columns that stay, so ``target``
-        is no basis.
+    def _walk(self, b: int):
+        """The tableau of the columns in the mask ``b``, walked from a cached
+        neighbour ``b ^ pair`` if there is one, else from the last one used.
+
+        Each entering column c, in slot order, replaces the first leaving
+        row with a non-zero entry in the slot of c.  None when there is no
+        such row: then c depends on columns that stay, so ``b`` is no basis.
         """
-        if self._last is None:
-            ns = [j for j in range(len(self._columns)) if j not in target]
+        start = self._last
+        for pair in self.ground.pair_masks:
+            near = self._basis_cache.get(b ^ pair)
+            if near is not None:
+                start = near
+                break
+        if start is None:
+            target = [j for j in range(len(self._columns)) if b >> j & 1]
+            ns = [j for j in range(len(self._columns)) if not b >> j & 1]
             first = _integer_tableau(self._columns, target, ns)
             return None if first is None else (target, ns, *first)
-        js, ns, d, t = self._last
+        js, ns, d, t = start
         js, ns = list(js), list(ns)
-        stays = set(target)
-        for c in sorted(stays.difference(js)):
-            s = ns.index(c)
+        for s, c in enumerate(ns):
+            if not b >> c & 1:
+                continue
             for i, j in enumerate(js):
-                if j not in stays and t[i][s] != 0:
+                if not b >> j & 1 and t[i][s] != 0:
                     break
             else:
                 return None
@@ -334,7 +355,7 @@ class RealizedOM:
         taken in lexicographic order; each is walked to from the one before
         and none is stored in the basis cache."""
         for target in itertools.combinations(range(self.matrix.cols), self.rank):
-            entry = self._walk(list(target))
+            entry = self._walk(sum(1 << j for j in target))
             if entry is not None:
                 self._last = entry
                 yield entry
@@ -346,10 +367,10 @@ class RealizedOM:
             yield frozenset(names[j] for j in js)
 
     def is_basis(self, subset: Iterable[str]) -> bool:
-        return self._tableau(frozenset(subset)) is not None
+        return self._names_tableau(frozenset(subset)) is not None
 
     def is_independent(self, subset: Iterable[str]) -> bool:
-        cols = [self._columns[j] for j in self._column_indices(subset)]
+        cols = [self._columns[j] for j in map(self.ground.index, set(subset))]
         return linalg.mat_rank(cols) == len(cols)
 
     def is_uniform(self) -> bool:
@@ -359,13 +380,13 @@ class RealizedOM:
     def _uniform(self) -> bool:
         return is_generic(self._spanning)
 
-    def _q_column(self, v: int, names: frozenset[str]):
-        """``(js, d, column)``: the basis columns of B(v) = ``names`` in
-        dimension order, D and the slot of q of its tableau, from the
-        principal-pivot stack (class docstring); None when the stack meets
-        a zero principal pivot or ``names`` is no basis."""
+    def _q_column(self, v: int):
+        """``(js, d, column)``: the basis columns of B(v) in dimension order,
+        D and the slot of q of its tableau, from the principal-pivot stack
+        (class docstring); None when the stack meets a zero principal pivot
+        or B(v) is no basis."""
         ground = self.ground
-        n = len(names)
+        n = ground.n_pairs
         js = ground.vertex_columns(v)
         stack = self._stack
         if not stack:
@@ -374,7 +395,7 @@ class RealizedOM:
             ns = ground.vertex_columns(~v) + [ground.index(ground.q)]
             first = _integer_tableau(self._columns, js, ns)
             if first is None:
-                self._basis_cache[names] = None
+                self._basis_cache[ground.vertex_mask(v)] = None
                 return None
             self._last = js, ns, *first
             stack.append((v, 0, *first))
@@ -390,29 +411,32 @@ class RealizedOM:
             if t[j][0] == 0:
                 return None
             d, t = t[j][0], linalg.pivot(t, j, 0, d)
-            bit = 1 << n - 1 - j
+            bit = 1 << diff.bit_length() - 1
             state, k, diff = state ^ bit, j + 1, diff ^ bit
             stack.append((state, k, d, t))
         return js, d, [row[-1] for row in t]
 
-    def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
-        """NotABasis, or the fundamental circuit C(B, e) from the slot of e."""
-        names = frozenset(basis)
-        if e in names:
-            raise ValueError("oracle element must lie outside the queried set")
-        ground = self.ground
-        j_e = ground.index(e)
-        v = ground.basis_vertex(names) if e == ground.q else None
-        found = None if v is None else self._q_column(v, names)
+    def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
+        """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``
+        of B and the index ``e``, or None when B is no basis: C(B(v), q) of
+        a complementary B(v) from the principal-pivot stack, every other
+        answer, and one the stack cannot give, from the slot of e in the
+        cached tableau."""
+        v = self.ground.mask_vertex(b) if e == self._q else None
+        found = None if v is None else self._q_column(v)
         if found is None:
-            entry = self._tableau(names)
+            entry = self._tableau(b)
             if entry is None:
-                return NOT_A_BASIS
+                return None
             js, ns, d, t = entry
-            s = ns.index(j_e)
+            s = ns.index(e)
             found = js, d, [row[s] for row in t]
         js, d, column = found
-        return SignedSet(ground, *_signed_masks(js, column, j_e, d > 0))
+        return _signed_masks(js, column, e, d > 0)
+
+    def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
+        """NotABasis, or the fundamental circuit C(B, e) from the slot of e."""
+        return self._names_query(basis, e)
 
     def fundamental_circuit(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         return self.query(basis, e)
@@ -423,7 +447,7 @@ class RealizedOM:
         names = frozenset(basis)
         if e not in names:
             raise ValueError("fundamental cocircuits need an element of the basis")
-        entry = self._tableau(names)
+        entry = self._names_tableau(names)
         if entry is None:
             raise ValueError("fundamental cocircuits are defined for bases only")
         js, ns, d, t = entry

@@ -2,8 +2,11 @@
 
 Vertex v of the n-cube names the complementary basis B(v) that picks s_i
 when v_i = 0 and t_i when v_i = 1, as :class:`omcp.signs.GroundSet` maps
-it.  The outmap of v, the mask pair ``(plus, zero)`` of :mod:`omcp.cube`,
-is read off the fundamental circuit C(B(v), q), in three cases:
+it.  Each vertex is one query of the oracle's vertex entry
+(:func:`omcp.om.vertex_answer`), which answers C(B(v), q) as its two
+masks; names and signed sets are built only for a certificate or an
+error message.  The outmap of v, the mask pair ``(plus, zero)`` of
+:mod:`omcp.cube`, is read off C(B(v), q), in three cases:
 
 1. B(v) is not a basis: make v a sink, ``(0, 0)``.
 2. The entry at the basis element of dimension i vanishes: orient the
@@ -21,32 +24,27 @@ solution and violation certificates of the complementarity instance.
 from __future__ import annotations
 
 from .cube import Orientation, Outmap, downward_outmap, is_sw_pair
-from .om import NotABasis
+from .om import vertex_answer
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
-from .signs import GroundSet
+from .signs import GroundSet, SignedSet
 
 
 def _query(oracle, v: int, n: int):
-    """(B(v), C(B(v), q) or NotABasis, partial outmap or None): one query for v.
+    """(C(B(v), q) as ``(pos_mask, neg_mask)``, partial outmap): one vertex
+    query for v, or (None, None) when B(v) is not a basis.
 
     The half-edge of dimension i carries the negated entry of C(B(v), q)
-    at the basis element of that dimension, whose ground index
-    ``GroundSet.vertex_columns`` gives.  The outmap is None when B(v) is
-    not a basis.
+    at the basis element of that dimension, read into vertex bit order by
+    ``GroundSet.on_vertex``.
     """
     ground: GroundSet = oracle.ground
     if ground.pairs is None or len(ground.pairs) != n:
         raise ValueError("bit vector does not match complementary structure")
-    basis = ground.vertex_basis(v)
-    answer = oracle.query(basis, ground.q)
-    if isinstance(answer, NotABasis):
-        return basis, answer, None
-    neg, support = answer.neg_mask, answer.support_mask
-    plus = zero = 0
-    for k in ground.vertex_columns(v):
-        plus = plus << 1 | neg >> k & 1
-        zero = zero << 1 | (support >> k & 1 ^ 1)
-    return basis, answer, (plus, zero)
+    answer = vertex_answer(oracle, v)
+    if answer is None:
+        return None, None
+    pos, neg = answer
+    return answer, (ground.on_vertex(v, neg), ground.on_vertex(v, ~(pos | neg)))
 
 
 def _total(v: int, out: Outmap | None) -> Outmap:
@@ -54,13 +52,13 @@ def _total(v: int, out: Outmap | None) -> Outmap:
 
 
 def orient_vertex_total(oracle, v: int, n: int) -> Outmap:
-    return _total(v, _query(oracle, v, n)[2])
+    return _total(v, _query(oracle, v, n)[1])
 
 
 def orient_vertex_partial(oracle, v: int, n: int) -> Outmap:
-    basis, _, out = _query(oracle, v, n)
+    out = _query(oracle, v, n)[1]
     if out is None:
-        raise ValueError(f"complementary set {sorted(basis)} is not a basis")
+        raise ValueError(f"complementary set {sorted(oracle.ground.vertex_basis(v))} is not a basis")
     return out
 
 
@@ -73,26 +71,29 @@ def klaus_orientation(oracle, n: int, partial: bool = False) -> Orientation:
 
 def map_back_sink(oracle, v: int, n: int) -> M1 | MV2:
     """Sink of the derived orientation -> M1 solution, or MV2 on a missing basis."""
-    basis, answer, out = _query(oracle, v, n)
+    answer, out = _query(oracle, v, n)
     if _total(v, out) != (0, 0):
         raise ValueError("vertex is not a sink of the derived orientation")
-    if out is None:
-        return MV2(basis)
-    if answer.neg_mask != 0:
+    ground: GroundSet = oracle.ground
+    if answer is None:
+        return MV2(ground.vertex_basis(v))
+    if answer[1] != 0:
         raise RuntimeError("sink circuit has negative entries; oracle is inconsistent")
-    return M1(answer)
+    return M1(SignedSet(ground, *answer))
 
 
 def map_back_uv1(oracle, v: int, w: int, n: int) -> MV3 | MV2:
     """Szabo-Welzl violation pair -> MV3 (or MV2 when a basis query fails)."""
     if v == w:
         raise ValueError("violation pair must be distinct")
-    (bv, x, ov), (bw, y, ow) = _query(oracle, v, n), _query(oracle, w, n)
+    (x, ov), (y, ow) = _query(oracle, v, n), _query(oracle, w, n)
     if not is_sw_pair(v, w, _total(v, ov), _total(w, ow)):
         raise ValueError("pair is not a Szabo-Welzl violation of the derived orientation")
-    for basis, out in ((bv, ov), (bw, ow)):
-        if out is None:
-            return MV2(basis)
+    ground: GroundSet = oracle.ground
+    for u, answer in ((v, x), (w, y)):
+        if answer is None:
+            return MV2(ground.vertex_basis(u))
+    x, y = SignedSet(ground, *x), SignedSet(ground, *y)
     if not verify_mv3_pair(x, y):
         raise RuntimeError("violation pair did not produce a valid MV3 certificate")
     return MV3(x, y)

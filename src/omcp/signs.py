@@ -19,6 +19,8 @@ SIGNS = (MINUS, ZERO, PLUS)
 
 _SIGN_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 _CHAR_SIGN = {"+": PLUS, "-": MINUS, "0": ZERO}
+# Each byte with its eight bits in reverse order.
+_REVERSED_BYTE = tuple([sum((b >> k & 1) << 7 - k for k in range(8)) for b in range(256)])
 
 
 def sign_char(s: int) -> str:
@@ -117,18 +119,55 @@ class GroundSet:
         return tuple([(1 << n - 1 - i, i, i + n) for i in range(n)])
 
     @cached_property
-    def _vertex_bits(self) -> dict[str, int]:
-        """Per element: its dimension's vertex bit, for t_i also shifted up by n; 0 for q."""
-        n = self.n_pairs
-        bits = dict.fromkeys(self.elements, 0)
-        for bit, s, t in self._dimensions:
-            bits[self.elements[s]], bits[self.elements[t]] = bit, bit | bit << n
-        return bits
+    def pair_masks(self) -> tuple[int, ...]:
+        """Per dimension i, the ground-index mask of s_i and t_i; empty
+        without complementary structure.  A set that holds one of the two
+        is one exchange away from its image under ``mask ^ pair``."""
+        if self.pairs is None:
+            return ()
+        return tuple([1 << s | 1 << t for _, s, t in self._dimensions])
+
+    @cached_property
+    def _n(self) -> int:
+        return self.n_pairs
+
+    def _mirror(self, x: int) -> int:
+        """The n low bits of x in reverse order, bit i to bit n - 1 - i: a
+        vertex's bits in dimension order, and back."""
+        n = self._n
+        if n <= 8:
+            return _REVERSED_BYTE[x & 255] >> 8 - n
+        r = 0
+        for shift in range(0, n, 8):
+            r = r << 8 | _REVERSED_BYTE[x >> shift & 255]
+        return r >> -n % 8
 
     def vertex_columns(self, v: int) -> list[int]:
         """Ground indices of B(v), in dimension order: dimension i is index
         i + n * v_i, where v_i is bit n - 1 - i of cube vertex v."""
         return [t if v & bit else s for bit, s, t in self._dimensions]
+
+    def vertex_mask(self, v: int) -> int:
+        """The ground-index mask of B(v): bit i (s_i) where v_i = 0, bit
+        i + n (t_i) where v_i = 1."""
+        n = self._n
+        t = self._mirror(v)
+        return (1 << n) - 1 ^ t | t << n
+
+    def mask_vertex(self, mask: int) -> int | None:
+        """The vertex v with ``vertex_mask(v) == mask``, or None when the
+        mask is no complementary n-set: its s half and its t half, q
+        included, must be complements."""
+        n = self._n
+        full, t = (1 << n) - 1, mask >> n
+        return self._mirror(t) if mask & full ^ t == full else None
+
+    def on_vertex(self, v: int, mask: int) -> int:
+        """The bits of ``mask`` at the elements of B(v), in vertex order: bit
+        n - 1 - i holds the element of dimension i."""
+        n = self._n
+        t = self._mirror(v)
+        return self._mirror(mask & ((1 << n) - 1 ^ t) | mask >> n & t)
 
     def vertex_basis(self, v: int) -> frozenset[str]:
         """B(v), the complementary n-set of vertex v: s_i where v_i = 0, t_i where v_i = 1."""
@@ -136,18 +175,19 @@ class GroundSet:
 
     def basis_vertex(self, names: Collection[str]) -> int | None:
         """The vertex v with B(v) = ``names``, or None when ``names`` is no
-        complementary n-set (size checked first): n names meet all n
-        dimensions, the low n bits of their joined bits, iff none is q and
-        no pair is full."""
-        n = self.n_pairs
-        if len(names) != n:
-            return None
-        bits = self._vertex_bits
-        x = 0
+        complementary n-set (size checked first, then every name)."""
+        return self.mask_vertex(self.mask(names)) if len(names) == self.n_pairs else None
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The ground-index mask of ``names``; ValueError on an unknown name."""
+        m = 0
         for name in names:
-            x |= bits[name] if name in bits else self.index(name)  # raises on an unknown name
-        full = (1 << n) - 1
-        return x >> n if x & full == full else None
+            m |= 1 << self.index(name)
+        return m
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The elements whose ground-index bits are set in ``mask``."""
+        return frozenset([name for k, name in enumerate(self.elements) if mask >> k & 1])
 
     def is_complementary_set(self, names: Iterable[str]) -> bool:
         """True if the set contains neither q nor any full complementary pair."""
@@ -234,8 +274,7 @@ class SignedSet:
         return self.pos_mask | self.neg_mask
 
     def support(self) -> frozenset[str]:
-        m = self.support_mask
-        return frozenset(name for k, name in enumerate(self.ground.elements) if m >> k & 1)
+        return self.ground.names(self.support_mask)
 
     @property
     def is_zero(self) -> bool:

@@ -236,13 +236,14 @@ def test_extension_query_scans_each_base_circuit_once(monkeypatch):
     m = random_p_matrix(3, random.Random(3))
     diagonal = RationalMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     calls = []
-    original = ExplicitOM.query
+    original = ExplicitOM._circuit
 
-    def counting(self, basis, e):
-        calls.append(e)
-        return original(self, basis, e)
+    def counting(self, b, e):
+        calls.append(self.ground.elements[e])
+        return original(self, b, e)
 
-    monkeypatch.setattr(ExplicitOM, "query", counting)
+    # The base is asked through its mask core, C(B, e) from B's mask and e's index.
+    monkeypatch.setattr(ExplicitOM, "_circuit", counting)
     for matrix, atom_lists in (
         (m, [
             (LexAtom("t2", MINUS), LexAtom("s1", PLUS)),

@@ -16,7 +16,10 @@ module subscripts, iterates or ``in``-tests what ``.outmap(``,
 return, whether directly or through a name bound to it.  Outside
 ``signs``, which holds the complementary vertex map, no library module
 computes a ground index from a vertex bit (``n * (... & 1)``) or a
-partner column (``% (2 * n)``).
+partner column (``% (2 * n)``), nor builds a B(v) mask from pair bits:
+none shifts by a t-column index (``1 << i + n``), and outside ``signs``
+and ``cube``, the home of vertex bits, none shifts by the vertex bit of a
+dimension (``1 << n - 1 - i``).
 """
 
 import ast
@@ -249,3 +252,53 @@ def test_only_signs_maps_vertices_to_columns():
         for line in _vertex_column_arithmetic(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _is_pair_count(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "n") or (
+        isinstance(node, ast.Attribute) and node.attr in ("n", "n_pairs")
+    )
+
+
+def _pair_bit_shifts(tree: ast.Module) -> tuple[list[int], list[int]]:
+    """Lines of ``x << i + n`` (a t-column index) and of ``x << n - 1 - i``
+    (the vertex bit of dimension i)."""
+    partner, vertex = [], []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)):
+            continue
+        by = node.right
+        if not isinstance(by, ast.BinOp):
+            continue
+        if isinstance(by.op, ast.Add) and (_is_pair_count(by.left) or _is_pair_count(by.right)):
+            partner.append(node.lineno)
+        inner = by.left
+        if (
+            isinstance(by.op, ast.Sub)
+            and isinstance(inner, ast.BinOp)
+            and isinstance(inner.op, ast.Sub)
+            and isinstance(inner.right, ast.Constant)
+            and inner.right.value == 1
+        ):
+            vertex.append(node.lineno)
+    return partner, vertex
+
+
+def test_only_signs_builds_vertex_masks_from_pair_bits():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "signs.py":
+            continue
+        partner, vertex = _pair_bit_shifts(ast.parse(path.read_text(encoding="utf-8")))
+        found += [f"{path.name}:{line}" for line in partner]
+        if path.name != "cube.py":
+            found += [f"{path.name}:{line}" for line in vertex]
+    assert found == []
+
+
+def test_pair_bit_shifts_are_recognized():
+    partner, vertex = _pair_bit_shifts(ast.parse(
+        "a = 1 << i + n\nb = 1 << self.n + i\nc = 1 << n - 1 - i\nd = x << (k - 1 - j)\n"
+        "e = 1 << i\nf = 1 << diff.bit_length() - 1\n"
+    ))
+    assert (partner, vertex) == ([1, 2], [3, 4])

@@ -183,6 +183,26 @@ def test_is_degenerate_matches_a_scan_of_the_basis_signs():
         is_degenerate(singular, 1)
 
 
+@pytest.mark.parametrize(
+    "scan", [is_degenerate, check_complementary_bases, solve_omcp_bruteforce],
+    ids=["is_degenerate", "check_complementary_bases", "solve_omcp_bruteforce"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_complementary_scans_check_the_pair_count(scan, n):
+    # A scan over 2^n vertices of an oracle with 3 pairs is refused, as
+    # reduction refuses the same mismatch, instead of scanning 2^3.
+    import random
+
+    from omcp.plcp import random_p_matrix, random_q
+
+    rng = random.Random(1)
+    m = random_p_matrix(3, rng)
+    oracle = RealizedOM(plcp_matrix(m, random_q(3, rng)), GroundSet.complementary(3, with_q=True))
+    with pytest.raises(ValueError, match="bit vector does not match complementary structure"):
+        scan(oracle, n)
+    scan(oracle, 3)
+
+
 def test_uniform_extension_not_degenerate():
     m = RationalMatrix.from_rows([[2, 0], [0, 3]])
     oracle = RealizedOM(

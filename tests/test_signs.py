@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -95,6 +96,29 @@ def test_vertex_map_round_trips(n, v):
         g.basis_vertex(rest | {"x"})
     with pytest.raises(ValueError, match="complementary structure"):
         GroundSet.plain(g.elements).basis_vertex(by_name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 16, 17])
+def test_vertex_masks_match_the_vertex_columns(n):
+    # The mask map reverses vertex bits a byte at a time, so widths on both
+    # sides of 8 and 16 are checked against the column list.
+    g = GroundSet.complementary(n, with_q=True)
+    rng = random.Random(n)
+    q_bit = 1 << 2 * n
+    for v in {0, (1 << n) - 1} | {rng.randrange(1 << n) for _ in range(64)}:
+        columns = g.vertex_columns(v)
+        mask = sum(1 << k for k in columns)
+        assert g.vertex_mask(v) == mask
+        assert g.mask_vertex(mask) == v
+        assert g.mask_vertex(mask | q_bit) is None
+        for i, pair in enumerate(g.pair_masks):
+            assert g.mask_vertex(mask ^ pair) == v ^ 1 << n - 1 - i
+            assert g.mask_vertex(mask | pair) is None
+        picked = rng.getrandbits(2 * n + 1)
+        assert g.on_vertex(v, picked) == sum(
+            1 << n - 1 - i for i, k in enumerate(columns) if picked >> k & 1
+        )
+        assert g.names(mask) == g.vertex_basis(v)
 
 
 def test_encode_decode_roundtrip():

@@ -326,3 +326,27 @@ def test_extension_walk_keeps_its_pivot_count(monkeypatch):
     # 255 exchanges between Gray neighbours on the base's cached tableaux,
     # and the 8 pivots of its one factorization.
     assert len(pivots) == 263
+
+
+def test_each_new_base_tableau_costs_one_pivot(monkeypatch):
+    # The games and the degeneracy scans of adversary-n6 ask the base for
+    # complementary bases only.  After the first factorization, which
+    # pivots once per row, each basis the cache misses is walked to from
+    # a cached neighbour one complementary exchange away, with one pivot.
+    from omcp.adversary import AdversaryState, random_uniform_base, run_game
+    from omcp.pmatroid import is_degenerate
+
+    base = random_uniform_base(6, random.Random(41))
+    pivots = []
+    original = linalg.pivot
+
+    def counting(*args):
+        pivots.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "pivot", counting)
+    for algo in ("ordered-scan", "jump"):
+        result = run_game(algo, AdversaryState(base))
+        assert is_degenerate(result.oracle, 6) == (False, None)
+    assert len(base._basis_cache) == 64
+    assert len(pivots) == base.rank + len(base._basis_cache) - 1
