@@ -126,8 +126,9 @@ class CircuitOracle:
         return NOT_A_BASIS if found is None else SignedSet(ground, *found)
 
     def query_vertex(self, v: int) -> tuple[int, int] | None:
-        """C(B(v), q) for cube vertex v, from the mask of B(v) with no names
-        built, as :func:`vertex_answer` returns it."""
+        """C(B(v), q) for cube vertex v as ``(pos_mask, neg_mask)``, or None
+        when B(v) is not a basis: the mask of B(v) goes to the core with no
+        names built."""
         ground: GroundSet = self.ground
         return self._circuit(ground.vertex_mask(v), ground.index(ground.q))
 
@@ -298,22 +299,6 @@ class ExplicitOM(CircuitOracle):
             if violation is not None:
                 raise ValueError(f"circuit axioms fail: {violation!r}")
         return om
-
-
-def vertex_answer(oracle, v: int) -> tuple[int, int] | None:
-    """C(B(v), q) for cube vertex v as ``(pos_mask, neg_mask)``, or None when
-    B(v) is not a basis.
-
-    The three oracles answer through their vertex entry ``query_vertex``,
-    which hands the ground-index mask of B(v) to their core with no names
-    built; any other object with ``ground`` and ``query`` is asked by name.
-    """
-    entry = getattr(oracle, "query_vertex", None)
-    if entry is not None:
-        return entry(v)
-    ground: GroundSet = oracle.ground
-    answer = oracle.query(ground.vertex_basis(v), ground.q)
-    return None if isinstance(answer, NotABasis) else (answer.pos_mask, answer.neg_mask)
 
 
 def ground_from_json(d: dict) -> GroundSet:

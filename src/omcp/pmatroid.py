@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cube import is_sw_pair, vertex_from_name, vertex_name
 from .guards import OMCP_SCAN_DIM, check
-from .om import NotABasis, vertex_answer
+from .om import NotABasis
 from .signs import PLUS, ZERO, GroundSet, SignedSet
 
 
@@ -165,16 +165,6 @@ def is_p_matroid(om) -> PMatroidCheck:
     return PMatroidCheck(s_ok and witness is None, s_ok, witness)
 
 
-def complementary_vertex_sets(ground: GroundSet):
-    """All complementary n-sets in cube-vertex order (s_i for bit 0, t_i for bit 1),
-    by name; the guard is checked once, on the first set drawn.  The scans
-    below walk the vertices and ask the oracle's vertex entry instead."""
-    n = ground.n_pairs
-    check(n, OMCP_SCAN_DIM, "omcp scan dimension")
-    for v in range(1 << n):
-        yield ground.vertex_basis(v)
-
-
 def _vertices(oracle, n: int) -> range:
     """The 2^n cube vertices of a scan over the complementary bases of an
     oracle with n pairs; the guard is checked once, before any query."""
@@ -190,7 +180,7 @@ def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
     if ground.q is None:
         raise ValueError("expected an extension oracle with element q")
     for v in _vertices(oracle, n):
-        if vertex_answer(oracle, v) is None:
+        if oracle.query_vertex(v) is None:
             return ground.vertex_basis(v)
     return None
 
@@ -232,7 +222,7 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     """
     ground: GroundSet = oracle.ground
     for v in _vertices(oracle, n):
-        answer = vertex_answer(oracle, v)
+        answer = oracle.query_vertex(v)
         if answer is None:
             return MV2(ground.vertex_basis(v))
         if answer[1] == 0:
@@ -244,7 +234,7 @@ def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
     """Some complementary basis B with C(B, q) vanishing on part of B."""
     ground: GroundSet = oracle.ground
     for v in _vertices(oracle, n):
-        answer = vertex_answer(oracle, v)
+        answer = oracle.query_vertex(v)
         if answer is None:
             raise ValueError(f"complementary set {sorted(ground.vertex_basis(v))} is not a basis")
         if ground.vertex_mask(v) & ~(answer[0] | answer[1]):

@@ -3,9 +3,9 @@
 Vertex v of the n-cube names the complementary basis B(v) that picks s_i
 when v_i = 0 and t_i when v_i = 1, as :class:`omcp.signs.GroundSet` maps
 it.  Each vertex is one query of the oracle's vertex entry
-(:func:`omcp.om.vertex_answer`), which answers C(B(v), q) as its two
-masks; names and signed sets are built only for a certificate or an
-error message.  The outmap of v, the mask pair ``(plus, zero)`` of
+(:meth:`omcp.om.CircuitOracle.query_vertex`), which answers C(B(v), q)
+as its two masks; names and signed sets are built only for a certificate
+or an error message.  The outmap of v, the mask pair ``(plus, zero)`` of
 :mod:`omcp.cube`, is read off C(B(v), q), in three cases:
 
 1. B(v) is not a basis: make v a sink, ``(0, 0)``.
@@ -24,7 +24,6 @@ solution and violation certificates of the complementarity instance.
 from __future__ import annotations
 
 from .cube import Orientation, Outmap, downward_outmap, is_sw_pair
-from .om import vertex_answer
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
 from .signs import GroundSet, SignedSet
 
@@ -40,7 +39,7 @@ def _query(oracle, v: int, n: int):
     ground: GroundSet = oracle.ground
     if ground.pairs is None or len(ground.pairs) != n:
         raise ValueError("bit vector does not match complementary structure")
-    answer = vertex_answer(oracle, v)
+    answer = oracle.query_vertex(v)
     if answer is None:
         return None, None
     pos, neg = answer

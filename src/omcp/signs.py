@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 MINUS, ZERO, PLUS = -1, 0, 1
 SIGNS = (MINUS, ZERO, PLUS)
@@ -135,8 +135,6 @@ class GroundSet:
         """The n low bits of x in reverse order, bit i to bit n - 1 - i: a
         vertex's bits in dimension order, and back."""
         n = self._n
-        if n <= 8:
-            return _REVERSED_BYTE[x & 255] >> 8 - n
         r = 0
         for shift in range(0, n, 8):
             r = r << 8 | _REVERSED_BYTE[x >> shift & 255]
@@ -172,11 +170,6 @@ class GroundSet:
     def vertex_basis(self, v: int) -> frozenset[str]:
         """B(v), the complementary n-set of vertex v: s_i where v_i = 0, t_i where v_i = 1."""
         return frozenset(map(self.elements.__getitem__, self.vertex_columns(v)))
-
-    def basis_vertex(self, names: Collection[str]) -> int | None:
-        """The vertex v with B(v) = ``names``, or None when ``names`` is no
-        complementary n-set (size checked first, then every name)."""
-        return self.mask_vertex(self.mask(names)) if len(names) == self.n_pairs else None
 
     def mask(self, names: Iterable[str]) -> int:
         """The ground-index mask of ``names``; ValueError on an unknown name."""

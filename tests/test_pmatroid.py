@@ -148,11 +148,11 @@ def test_is_degenerate_matches_a_scan_of_the_basis_signs():
 
     from omcp.extend import ExtensionOM, LexAtom, Localization
     from omcp.plcp import random_p_matrix
-    from omcp.pmatroid import complementary_vertex_sets
     from omcp.realize import hstack, negated
 
     def reference(oracle):
-        for basis in complementary_vertex_sets(oracle.ground):
+        ground = oracle.ground
+        for basis in map(ground.vertex_basis, range(1 << ground.n_pairs)):
             answer = oracle.query(basis, "q")
             if any(answer.sign_of(e) == 0 for e in basis):
                 return True, basis
@@ -215,9 +215,8 @@ def test_uniform_extension_not_degenerate():
 def test_uniqueness_of_solution_on_p_extensions(ext, ext_degenerate):
     for oracle in (ext, ext_degenerate):
         hits = []
-        from omcp.pmatroid import complementary_vertex_sets
-
-        for basis in complementary_vertex_sets(oracle.ground):
+        ground = oracle.ground
+        for basis in map(ground.vertex_basis, range(1 << ground.n_pairs)):
             answer = oracle.query(basis, "q")
             if answer.neg_mask == 0:
                 hits.append(answer)

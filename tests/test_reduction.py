@@ -132,14 +132,14 @@ def test_ppu_structure_on_p_extensions():
 
 def test_one_query_per_vertex(ext):
     calls = []
-    original = ext.query
+    original = ext.query_vertex
 
     class Counting:
         ground = ext.ground
 
-        def query(self, basis, e):
-            calls.append((frozenset(basis), e))
-            return original(basis, e)
+        def query_vertex(self, v):
+            calls.append(v)
+            return original(v)
 
     o = klaus_orientation(Counting(), 1)
     o.outmap(0)

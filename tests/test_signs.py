@@ -85,17 +85,18 @@ def test_vertex_map_round_trips(n, v):
     by_name = frozenset(f"t{i + 1}" if v >> n - 1 - i & 1 else f"s{i + 1}" for i in range(n))
     assert g.vertex_basis(v) == by_name
     assert frozenset(g.elements[k] for k in g.vertex_columns(v)) == by_name
-    assert g.basis_vertex(g.vertex_basis(v)) == v
+    assert g.mask_vertex(g.mask(g.vertex_basis(v))) == v
     rest = by_name - set(g.pair(0))
-    assert g.basis_vertex(rest) is None
-    assert g.basis_vertex(by_name | {"q"}) is None
-    assert g.basis_vertex(rest | {"q"}) is None
+    assert g.mask_vertex(g.mask(rest)) is None
+    assert g.mask_vertex(g.mask(by_name | {"q"})) is None
+    assert g.mask_vertex(g.mask(rest | {"q"})) is None
     if n > 1:
-        assert g.basis_vertex(by_name - set(g.pair(1)) | set(g.pair(0))) is None
+        assert g.mask_vertex(g.mask(by_name - set(g.pair(1)) | set(g.pair(0)))) is None
     with pytest.raises(ValueError, match="unknown"):
-        g.basis_vertex(rest | {"x"})
+        g.mask(rest | {"x"})
+    plain = GroundSet.plain(g.elements)
     with pytest.raises(ValueError, match="complementary structure"):
-        GroundSet.plain(g.elements).basis_vertex(by_name)
+        plain.mask_vertex(plain.mask(by_name))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 16, 17])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omcp.extend import ExtensionOM, LexAtom, Localization
-from omcp.om import NotABasis, vertex_answer
+from omcp.om import NotABasis
 from omcp.plcp import localization_from_q
 from omcp.realize import RationalMatrix, RealizedOM, hstack, negated, plcp_matrix
 from omcp.signs import MINUS, PLUS, ZERO, GroundSet
@@ -63,7 +63,6 @@ def assert_paths_agree(m: RationalMatrix, q, atom_lists, order):
         for v in order:
             got = by_vertex.query_vertex(v)
             assert got == by_name(by_names, v), (label, v)
-            assert vertex_answer(by_vertex, v) == got, (label, v)
             if got is not None:
                 # + at q, and the support lies in B(v) + q
                 q_bit = 1 << 2 * n
