@@ -60,8 +60,13 @@ class AdversaryState:
         self.transcript: list[tuple[int, Outmap]] = []
 
     @property
-    def oracle(self) -> ExtensionOM:
-        return ExtensionOM(self.sigma)
+    def sigma(self) -> Localization:
+        return self.oracle.sigma
+
+    @sigma.setter
+    def sigma(self, sigma: Localization) -> None:
+        # One oracle per localization: answers that compose no atom reuse it.
+        self.oracle = ExtensionOM(sigma)
 
     def answer(self, v: int) -> Outmap:
         """Total outmap of v, composing one atom if v lies in U."""

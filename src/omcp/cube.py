@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .guards import HOLT_KLEE_DIM, OMCP_SCAN_DIM, check
-from .signs import char_sign, sign_char, sign_masks
+from .signs import char_sign, sign_masks
 
 Outmap = tuple[int, int]
+# A vertex-order bit of ``plus`` as the sign it names in an outmap's name.
+_PLUS_MINUS = str.maketrans("10", "+-")
 
 
 def vertex_bit(v: int, i: int, n: int) -> int:
@@ -78,10 +80,19 @@ def vertex_from_name(s: str, n: int) -> int:
 
 
 def outmap_name(out: Outmap, n: int) -> str:
-    """The name of an outmap: per dimension '+' outgoing, '0' unoriented, '-' incoming."""
+    """The name of an outmap: per dimension '+' outgoing, '0' unoriented, '-' incoming.
+
+    The bits of ``plus`` name every dimension '+' or '-'; the bits of
+    ``zero``, from the highest, then overwrite theirs with '0'.
+    """
     plus, zero = out
-    minus = ~(plus | zero)
-    return "".join([sign_char((plus >> k & 1) - (minus >> k & 1)) for k in range(n - 1, -1, -1)])
+    name = format(plus | 1 << n, "b")[1:].translate(_PLUS_MINUS)
+    while zero:
+        top = zero.bit_length()
+        k = n - top
+        name = name[:k] + "0" + name[k + 1:]
+        zero ^= 1 << top - 1
+    return name
 
 
 def outmap_from_name(s: str) -> Outmap:
@@ -146,12 +157,12 @@ class Orientation:
 
         Vertices are evaluated in Gray-code order, v = k ^ (k >> 1), so
         consecutive queries differ in one dimension and an oracle can move
-        between them by one basis exchange.  ``RealizedOM``'s principal-pivot
-        stack may redo several dimensions at one vertex, yet still makes
-        2^n - 1 exchanges in all, one per vertex after the first.  When a
-        vertex raises ValueError, the unevaluated vertices below it are
-        evaluated in vertex order, so the error raised is that of the least
-        failing vertex, as in a pass in vertex order.
+        between them by one basis exchange.  When a vertex raises
+        ValueError, the unevaluated vertices below it are evaluated in
+        vertex order, so the error raised is that of the least failing
+        vertex, as in a pass in vertex order.  The Klaus orientation of
+        :mod:`omcp.reduction` runs this pass over answers its oracle gives
+        for the whole cube at once (``query_cube``).
         """
         if self._table is not None:
             return self

@@ -27,6 +27,15 @@ T = A, and exchanges them for columns of A.  A row multiplier scales
 every column alike, so the slot of a column a_j left outside the basis
 holds D * B^-1 a_j of the input rows themselves: :func:`invert` reads
 A^-1 C off the C slots of one elimination of [A | C].
+
+The same call exchanges a transposed tableau U = T^T, one list per slot:
+``pivot(U, c, r, D)`` gives U' = T'^T except that row r of T' reads
+negated in every slot but c, and slot c reads negated in every row but r.
+A later exchange at a row r2 that was never exchanged has the true pivot,
+and every entry it writes in a negated row comes out negated as well.  So
+a walk that exchanges each row at most once and drops each slot it
+pivots at keeps T' transposed, with the rows exchanged on the way read
+negated.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ reads its whole circuit and cocircuit sets off the tableaux of all its
 bases: every circuit is a fundamental circuit and every cocircuit a
 fundamental cocircuit of some basis.  The fundamental circuit C(B(v), q)
 of a complementary basis comes from a principal-pivot stack instead,
-whose tableaux drop one column per fixed dimension and are not cached;
-the vertex entry ``query_vertex(v)`` asks for it by cube vertex.  The
+whose transposed tableaux drop one slot per fixed dimension and are not
+cached; the vertex entry ``query_vertex(v)`` asks for it by cube vertex,
+and ``query_cube()`` for every vertex in one depth-first walk.  The
 module also builds the complementarity instance [I; -M; -q] from an LCP
 pair (M, q).
 """
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .guards import MATRIX_COLUMNS, check
 from .om import CircuitOracle, ExplicitOM, NotABasis
-from .signs import GroundSet, SignedSet
+from .signs import GroundSet, SignedSet, sign_masks
 
 Vector = tuple[Fraction, ...]
 
@@ -199,6 +200,20 @@ def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool
     return (1 << e | below, above) if flip else (1 << e | above, below)
 
 
+def _exchange(u: list[list[int]], k: int, j: int, d: int):
+    """``(d', u')``: the principal pivot at dimension ``j >= k`` of a stack
+    tableau ``u`` with its D (see :class:`RealizedOM`), which holds the
+    slots of the dimensions >= k and of q, in that order, each a list over
+    the n dimensions.  ``u'`` holds the slots of the dimensions > j and of
+    q: the slot of j, where the leaving column lands, is dropped.  None on
+    a zero principal pivot."""
+    u = u[j - k:]
+    p = u[0][j]
+    if p == 0:
+        return None
+    return p, linalg.pivot(u, 0, j, d)[1:]
+
+
 def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
     """The configuration [I; -M; -q] with columns s_1..s_n, t_1..t_n, q."""
     n = m.rows
@@ -248,23 +263,37 @@ class RealizedOM(CircuitOracle):
     map v <-> B(v) is :class:`GroundSet`'s) is the slot of q of the
     principal pivot transform of [M | q] at B(v) (Tucker 1963), and comes
     from a principal-pivot stack that caches nothing per vertex.  An entry
-    holds a vertex, its D and n rows in dimension order, on the slots of
-    the dimensions >= max(k - 1, 0) and of q, last, where dimensions < k
-    are fixed.  The bottom, k = 0, is factored from the first vertex
-    queried, with its rows and slots already in dimension order; later
-    general queries walk from it, but it does not enter the basis cache,
-    and a singular first set is cached as no basis.  Vertex v pops the
+    holds a vertex, the number k of its fixed dimensions, its D and its
+    tableau transposed: one list per slot, for the dimensions >= k and
+    then q, each holding n entries in dimension order.  The bottom, k = 0,
+    is factored from the first vertex queried (vertex 0 for
+    ``query_cube``), with its rows and slots already in dimension order,
+    and stays for the oracle's lifetime; later general queries walk from
+    it, but it does not enter the basis cache, and a singular first set is
+    cached as no basis and not factored again.  Vertex v pops the
     entries whose fixed dimensions disagree with it.  Then, for each
-    dimension j >= k where the top differs from v, in increasing order, it
-    cuts the rows to the slots of dimensions >= j and of q, pivots at row
-    j and the slot of j, and pushes the result with k = j + 1; the
-    undecided dimensions keep their state.  The cut is exact: an exchange
-    at (r, c) reads only row r and slot c and updates each other slot from
-    itself, and no exchange above the new entry reads a slot below j.  So
-    the stack holds at most n + 1 entries, and a Gray walk or a
-    vertex-order scan makes one pivot per vertex after the first.  A zero
+    dimension j >= k where the top differs from v, in increasing order,
+    :func:`_exchange` cuts the slots below j off (one outer slice), pivots
+    at the slot of j and the entry of j, drops the slot of j and pushes the
+    result with k = j + 1; the undecided dimensions keep their state.  The
+    cut is exact: an exchange at (r, c) reads only row r and slot c and
+    updates each other slot from itself, and no exchange above the new
+    entry reads a slot below j.  So the stack holds at most n + 1 entries,
+    and a Gray walk or a vertex-order scan makes one pivot per vertex after
+    the first.  On the transposed layout the rows of the dimensions
+    exchanged on the path from the bottom read negated (see
+    :mod:`omcp.linalg`), which the answer undoes with one mask.  A zero
     principal pivot goes to the cached tableaux, as every other query
     does.
+
+    ``query_cube()`` answers every vertex at once by a depth-first walk of
+    the same pivot tree: from the bottom entry at v0, the child at
+    dimension j of an entry with k fixed dimensions, j >= k, is its
+    exchange at j.  Each vertex v is reached once, by exchanging the
+    dimensions where it differs from v0 in increasing order, so the walk
+    makes 2^n - 1 exchanges, factors nothing beyond the bottom and neither
+    pushes nor caches a tableau.  Below a zero principal pivot, each
+    vertex goes to ``query_vertex``.
 
     The circuit and cocircuit sets are read off the tableaux of all bases,
     which one walk visits in lexicographic order without caching; a
@@ -287,6 +316,7 @@ class RealizedOM(CircuitOracle):
         self._basis_cache: dict = {}
         self._last = None
         self._stack: list[tuple[int, int, int, list[list[int]]]] = []
+        self._bottom_mask = 0  # the ground-index mask of the bottom entry's B(v)
         self._q = None if ground.q is None else ground.index(ground.q)
 
     @cached_property
@@ -380,41 +410,104 @@ class RealizedOM(CircuitOracle):
     def _uniform(self) -> bool:
         return is_generic(self._spanning)
 
-    def _q_column(self, v: int):
-        """``(js, d, column)``: the basis columns of B(v) in dimension order,
-        D and the slot of q of its tableau, from the principal-pivot stack
-        (class docstring); None when the stack meets a zero principal pivot
-        or B(v) is no basis."""
-        ground = self.ground
-        n = ground.n_pairs
-        js = ground.vertex_columns(v)
+    def _bottom(self, v: int):
+        """The stack's bottom entry, factored from B(v) when the stack is
+        empty; None when the rank is not n or B(v) is no basis.  A set the
+        cache already holds as no basis is not factored again; a singular
+        one is cached as no basis."""
         stack = self._stack
-        if not stack:
-            if n != self.rank:
-                return None
-            ns = ground.vertex_columns(~v) + [ground.index(ground.q)]
-            first = _integer_tableau(self._columns, js, ns)
-            if first is None:
-                self._basis_cache[ground.vertex_mask(v)] = None
-                return None
-            self._last = js, ns, *first
-            stack.append((v, 0, *first))
-        state, k, d, t = stack[-1]
+        if stack:
+            return stack[0]
+        ground = self.ground
+        b = ground.vertex_mask(v)
+        cache = self._basis_cache
+        if ground.n_pairs != self.rank or b in cache and cache[b] is None:
+            return None
+        js = ground.vertex_columns(v)
+        ns = ground.vertex_columns(~v) + [self._q]
+        first = _integer_tableau(self._columns, js, ns)
+        if first is None:
+            cache[b] = None
+            return None
+        d, t = first
+        self._last = js, ns, d, t
+        self._bottom_mask = b
+        stack.append((v, 0, d, [list(slot) for slot in zip(*t)]))
+        return stack[0]
+
+    def _stack_answer(self, b: int, d: int, q_slot: list[int]) -> tuple[int, int]:
+        """C(B, q) as ``(pos_mask, neg_mask)`` for the ground-index mask
+        ``b`` of B = B(v), off the D and the slot of q of the stack entry at
+        v: sign(D) times minus the slot, with the rows of the dimensions
+        exchanged on the path from the bottom read negated (class
+        docstring)."""
+        above, below = sign_masks(q_slot)  # bit i: the row of dimension i
+        # b ^ bottom holds s_i exactly where dimension i was exchanged.
+        negated = b ^ self._bottom_mask
+        if d > 0:
+            negated = ~negated
+        swap = (above ^ below) & negated
+        ground = self.ground
+        return 1 << self._q | ground.in_basis(b, above ^ swap), ground.in_basis(b, below ^ swap)
+
+    def _stack_circuit(self, v: int, b: int) -> tuple[int, int] | None:
+        """C(B(v), q) as ``(pos_mask, neg_mask)`` for the ground-index mask
+        ``b`` of B(v), from the principal-pivot stack (class docstring); None
+        when the stack meets a zero principal pivot or B(v) is no basis."""
+        if self._bottom(v) is None:
+            return None
+        n = self.ground.n_pairs
+        stack = self._stack
+        state, k, d, u = stack[-1]
         while (state ^ v) >> n - k:
             stack.pop()
-            state, k, d, t = stack[-1]
+            state, k, d, u = stack[-1]
         diff = state ^ v
         while diff:
             j = n - diff.bit_length()
-            # Slot 0 of a pushed entry is the dimension pivoted last.
-            t = [row[j - max(k - 1, 0):] for row in t]
-            if t[j][0] == 0:
+            found = _exchange(u, k, j, d)
+            if found is None:
                 return None
-            d, t = t[j][0], linalg.pivot(t, j, 0, d)
+            d, u = found
             bit = 1 << diff.bit_length() - 1
             state, k, diff = state ^ bit, j + 1, diff ^ bit
-            stack.append((state, k, d, t))
-        return js, d, [row[-1] for row in t]
+            stack.append((state, k, d, u))
+        return self._stack_answer(b, d, u[-1])
+
+    def query_cube(self) -> list[tuple[int, int] | None]:
+        """``query_vertex(v)`` for every cube vertex v, in vertex order, by a
+        depth-first walk of the stack's pivot tree from its bottom entry
+        (class docstring); without a bottom, the vertices are asked one by
+        one in Gray-code order."""
+        if self._q is None or self._bottom(0) is None:
+            return super().query_cube()
+        v0, _, d, u = self._stack[0]
+        n = self.ground.n_pairs
+        pair_masks = self.ground.pair_masks
+        answers: list = [None] * (1 << n)
+
+        def walk(state: int, b: int, k: int, d: int, u: list[list[int]], free: int) -> None:
+            # b: the mask of B(state); free: the vertex bits of the dimensions >= k
+            answers[state] = self._stack_answer(b, d, u[-1])
+            while free:
+                j = n - free.bit_length()
+                bit = 1 << free.bit_length() - 1
+                free ^= bit
+                found = _exchange(u, k, j, d)
+                if found is not None:
+                    walk(state ^ bit, b ^ pair_masks[j], j + 1, *found, free)
+                    continue
+                # A zero principal pivot: the vertices below it from the cache.
+                sub = free
+                while True:
+                    w = state ^ bit ^ sub
+                    answers[w] = self.query_vertex(w)
+                    if not sub:
+                        break
+                    sub = sub - 1 & free
+
+        walk(v0, self._bottom_mask, 0, d, u, (1 << n) - 1)
+        return answers
 
     def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
         """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``
@@ -423,16 +516,15 @@ class RealizedOM(CircuitOracle):
         answer, and one the stack cannot give, from the slot of e in the
         cached tableau."""
         v = self.ground.mask_vertex(b) if e == self._q else None
-        found = None if v is None else self._q_column(v)
-        if found is None:
-            entry = self._tableau(b)
-            if entry is None:
-                return None
-            js, ns, d, t = entry
-            s = ns.index(e)
-            found = js, d, [row[s] for row in t]
-        js, d, column = found
-        return _signed_masks(js, column, e, d > 0)
+        found = None if v is None else self._stack_circuit(v, b)
+        if found is not None:
+            return found
+        entry = self._tableau(b)
+        if entry is None:
+            return None
+        js, ns, d, t = entry
+        s = ns.index(e)
+        return _signed_masks(js, [row[s] for row in t], e, d > 0)
 
     def query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """NotABasis, or the fundamental circuit C(B, e) from the slot of e."""

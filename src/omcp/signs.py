@@ -167,6 +167,14 @@ class GroundSet:
         t = self._mirror(v)
         return self._mirror(mask & ((1 << n) - 1 ^ t) | mask >> n & t)
 
+    def in_basis(self, b: int, bits: int) -> int:
+        """The ground-index mask of the elements of the complementary n-set
+        with ground-index mask ``b`` whose dimension i has bit i set in
+        ``bits``: s_i where b holds s_i, t_i where it holds t_i."""
+        n = self._n
+        t = b >> n
+        return bits & ~t | (bits & t) << n
+
     def vertex_basis(self, v: int) -> frozenset[str]:
         """B(v), the complementary n-set of vertex v: s_i where v_i = 0, t_i where v_i = 1."""
         return frozenset(map(self.elements.__getitem__, self.vertex_columns(v)))

@@ -59,6 +59,25 @@ def test_repeat_queries_are_deterministic():
     assert state.answer(0) == first
 
 
+def test_state_keeps_one_oracle_per_localization():
+    base = random_uniform_base(3, random.Random(7))
+    state = AdversaryState(base)
+    oracle = state.oracle
+    assert oracle.sigma is state.sigma
+    state.answer(0)  # inside U: composes an atom
+    assert state.oracle is not oracle and state.oracle.sigma is state.sigma
+    oracle = state.oracle
+    outside = next(v for v in range(8) if not state.hypersink.contains(v))
+    state.answer(outside)  # outside U: no atom, the same oracle answers
+    assert state.oracle is oracle
+    state.answer(outside)
+    assert state.oracle is oracle
+    inside = next(iter(state.hypersink.vertices()))
+    state.answer(inside)
+    assert state.oracle is not oracle and state.oracle.sigma is state.sigma
+    assert len(state.sigma.atoms) == 2
+
+
 def test_in_u_queries_are_never_sinks():
     rng = random.Random(6)
     for n in (2, 3):

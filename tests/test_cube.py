@@ -283,6 +283,33 @@ def test_outmap_names_round_trip():
         outmap_from_name("+x")
 
 
+def _outmap_name_by_characters(out, n: int) -> str:
+    """The outmap name one character per dimension, from dimension 0 on."""
+    plus, zero = out
+    return "".join(
+        "0" if zero >> k & 1 else "+" if plus >> k & 1 else "-" for k in range(n - 1, -1, -1)
+    )
+
+
+def test_outmap_name_matches_the_character_loop():
+    outmaps = [
+        (n, (plus, zero))
+        for n in range(5)
+        for plus in range(1 << n)
+        for zero in range(1 << n)
+        if not plus & zero
+    ]
+    rng = random.Random(12)
+    for n in (8, 12):
+        for _ in range(200):
+            zero = rng.getrandbits(n) & rng.getrandbits(n)
+            outmaps.append((n, (rng.getrandbits(n) & ~zero, zero)))
+    assert len(outmaps) == 3**0 + 3**1 + 3**2 + 3**3 + 3**4 + 400
+    for n, out in outmaps:
+        assert outmap_name(out, n) == _outmap_name_by_characters(out, n), (n, out)
+    assert outmap_name((0, 0), 0) == ""
+
+
 @pytest.mark.parametrize(
     "row", [(1,), (1, 0, 0), (2, 0), (0, 2), (-1, 0), (1, 1), [1, 0], "+-", 1, (1.0, 0)]
 )

@@ -302,8 +302,12 @@ def test_gray_walk_pivots_on_rows_that_shrink(invert_calls, monkeypatch):
     orientation = klaus_orientation(oracle, 8).materialize()
     assert invert_calls == [False]
     assert len(calls) == 255
-    # The pivot at dimension j sees the slots of dimensions j..n-1 and of q.
-    assert all(c == 0 and widths == {8 - r + 1} for r, c, widths, _ in calls)
+    # The pivot at dimension j is at slot 0 and entry j, and sees the slots
+    # of dimensions j..n-1 and of q, each over the 8 dimensions.
+    assert all(
+        r == 0 and widths == {8} and entries == 8 * (8 - c + 1)
+        for r, c, widths, entries in calls
+    )
     assert sum(entries for *_, entries in calls) == 6056
     assert len(oracle._basis_cache) == 0
     fresh = lcp_oracle(m, q)

@@ -1,4 +1,4 @@
-"""The vertex entry and the names path of every oracle agree.
+"""The vertex entry, the whole-cube query and the names path of every oracle agree.
 
 ``query_vertex(v)`` hands the ground-index mask of B(v) to an oracle's
 mask core, and ``query(B(v), "q")`` reaches the same core from the names.
@@ -6,7 +6,11 @@ On every vertex, both must give the same C(B(v), q) or both NotABasis, for
 ``RealizedOM``, its ``to_explicit()``, and ``ExtensionOM`` over either
 kind of base, with atom lists and with an explicit table.  The two paths
 run on separate oracles, so the principal-pivot stack and the basis cache
-of one never answer for the other.
+of one never answer for the other.  ``query_cube()`` must list
+``query_vertex(v)`` of a fresh oracle for every v in vertex order, also
+when zero principal pivots cut the walk, when the first complementary set
+is singular and when an earlier query put the stack's bottom at v != 0;
+on a P-LCP it makes one factorization and 2^n - 1 exchanges.
 """
 
 import json
@@ -17,9 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omcp import linalg
 from omcp.extend import ExtensionOM, LexAtom, Localization
 from omcp.om import NotABasis
-from omcp.plcp import localization_from_q
+from omcp.plcp import localization_from_q, random_p_matrix
 from omcp.realize import RationalMatrix, RealizedOM, hstack, negated, plcp_matrix
 from omcp.signs import MINUS, PLUS, ZERO, GroundSet
 
@@ -109,3 +114,95 @@ def test_vertex_entry_matches_the_names_path(data):
     atom_lists = [tuple(data.draw(st.lists(atoms, max_size=n + 2)))]
     order = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3 << n))
     assert_paths_agree(m, q, atom_lists, order)
+
+
+def by_vertex(oracle, n: int):
+    return [oracle.query_vertex(v) for v in range(1 << n)]
+
+
+def assert_cube_matches(m: RationalMatrix, q, atom_lists, first=None):
+    """``query_cube()`` of every oracle kind against ``query_vertex`` of a
+    fresh one; ``first``, when given, is queried lazily before the cube."""
+    n = m.rows
+    for label, make in oracle_pairs(m, q, atom_lists):
+        oracle = make()
+        if first is not None:
+            oracle.query_vertex(first)
+        assert oracle.query_cube() == by_vertex(make(), n), (label, first)
+
+
+@pytest.mark.parametrize(
+    "name", ["lcp5_degenerate", "lcp3_singular", "lcp2_two_singular", "lcp3_nonp"]
+)
+def test_query_cube_matches_the_vertex_entry_on_data_files(name):
+    data = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+    m = RationalMatrix.from_rows(data["M"])
+    q = tuple(Fraction(v) for v in data["q"])
+    n = m.rows
+    atom_lists = atom_lists_for(n, random.Random(n))
+    for first in (None, 1, (1 << n) - 1):
+        assert_cube_matches(m, q, atom_lists, first)
+
+
+def test_query_cube_walks_from_a_bottom_set_by_a_lazy_query():
+    m = random_p_matrix(4, random.Random(3))
+    matrix = plcp_matrix(m, (Fraction(1), Fraction(-2), Fraction(0), Fraction(3)))
+    ground = GroundSet.complementary(4, with_q=True)
+    for first in (5, 10, 15):
+        oracle = RealizedOM(matrix, ground)
+        oracle.query_vertex(first)
+        assert oracle._stack[0][0] == first
+        assert oracle.query_cube() == by_vertex(RealizedOM(matrix, ground), 4)
+        assert oracle._stack[0][0] == first
+
+
+def test_query_cube_with_a_singular_first_set(invert_calls):
+    # s1 = s2 = (1, 0), so B(0) = {s1, s2} is singular: the stack's bottom
+    # cannot be factored there, and the vertices are asked one by one.
+    matrix = RationalMatrix.from_rows([[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]])
+    ground = GroundSet.complementary(2, with_q=True)
+    cube = RealizedOM(matrix, ground).query_cube()
+    assert invert_calls == [True, False]
+    assert cube[0] is None
+    assert cube == by_vertex(RealizedOM(matrix, ground), 2)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_query_cube_matches_the_vertex_entry(data):
+    n = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        m = random_p_matrix(n, random.Random(data.draw(st.integers(0, 2**16))))
+    else:
+        entries = st.integers(-2, 2)
+        m = RationalMatrix.from_rows([[data.draw(entries) for _ in range(n)] for _ in range(n)])
+    q = [Fraction(data.draw(st.integers(-2, 2))) for _ in range(n)]
+    first = data.draw(st.none() | st.integers(0, (1 << n) - 1))
+    elements = GroundSet.complementary(n).elements
+    atoms = st.builds(LexAtom, st.sampled_from(elements), st.sampled_from((MINUS, ZERO, PLUS)))
+    atom_lists = [tuple(data.draw(st.lists(atoms, max_size=n + 2)))] if n <= 3 else []
+    assert_cube_matches(m, q, atom_lists, first)
+
+
+def test_query_cube_makes_one_exchange_per_vertex(invert_calls, monkeypatch):
+    rng = random.Random(8)
+    m = random_p_matrix(8, rng)
+    q = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
+    matrix = plcp_matrix(m, tuple(q))
+    ground = GroundSet.complementary(8, with_q=True)
+    pivots = []
+    original = linalg.pivot
+
+    def counting(*args):
+        pivots.append(args[1:3])
+        return original(*args)
+
+    oracle = RealizedOM(matrix, ground)
+    monkeypatch.setattr(linalg, "pivot", counting)
+    cube = oracle.query_cube()
+    # The one factorization runs its own 8 pivots inside linalg.invert.
+    assert invert_calls == [False]
+    assert len(pivots) == 8 + 255
+    assert len(oracle._basis_cache) == 0
+    assert len(oracle._stack) == 1
+    assert cube == by_vertex(RealizedOM(matrix, ground), 8)
