@@ -153,31 +153,23 @@ class Orientation:
         return range(1 << self.n)
 
     def materialize(self) -> "Orientation":
-        """The dense table, listed in vertex order.
+        """The dense table, each vertex evaluated once, in vertex order.
 
-        Vertices are evaluated in Gray-code order, v = k ^ (k >> 1), so
-        consecutive queries differ in one dimension and an oracle can move
-        between them by one basis exchange.  When a vertex raises
-        ValueError, the unevaluated vertices below it are evaluated in
-        vertex order, so the error raised is that of the least failing
-        vertex, as in a pass in vertex order.  The Klaus orientation of
-        :mod:`omcp.reduction` runs this pass over answers its oracle gives
-        for the whole cube at once (``query_cube``).
+        The first vertex that raises ends the pass, so its error is that of
+        the least failing vertex.  For the Klaus orientation of
+        :mod:`omcp.reduction` over a ``RealizedOM``, vertex order is a
+        depth-first walk of the oracle's principal-pivot stack, one basis
+        exchange per vertex.  The table holds the oracle's own outmaps and
+        is not checked again.
         """
         if self._table is not None:
             return self
         check(self.n, OMCP_SCAN_DIM, "materialized cube dimension")
-        table: list = [None] * (1 << self.n)
-        for k in self.vertices():
-            v = k ^ (k >> 1)
-            try:
-                table[v] = self.outmap(v)
-            except ValueError:
-                for u in range(v):
-                    if table[u] is None:
-                        self.outmap(u)
-                raise
-        return Orientation(self.n, table=table)
+        # past __init__, which checks the tables that come from outside
+        dense = Orientation.__new__(Orientation)
+        dense.n, dense._fn = self.n, None
+        dense._table = tuple([self._fn(v) for v in self.vertices()])
+        return dense
 
     def is_total(self) -> bool:
         return not any(self.outmap(v)[1] for v in self.vertices())

@@ -8,8 +8,7 @@ implements the circuit oracle protocol ``query(B, e) -> NotABasis |
 SignedSet`` used throughout the pipeline, so explicit matroids can stand
 in wherever an oracle is expected.  This one, ``RealizedOM`` and
 ``ExtensionOM`` share :class:`CircuitOracle`: both ``query`` and the
-vertex entry ``query_vertex(v)`` reach one mask core per oracle, and
-``query_cube()`` lists the vertex entry's answers for the whole cube.
+vertex entry ``query_vertex(v)`` reach one mask core per oracle.
 """
 
 from __future__ import annotations
@@ -105,11 +104,11 @@ def check_circuit_axioms(circuits: Iterable[SignedSet]) -> AxiomViolation | None
 
 
 class CircuitOracle:
-    """The names path, the vertex entry and the whole-cube query of a
-    circuit oracle, all over its mask core ``_circuit(mask, index)``:
-    C(B, e) as ``(pos_mask, neg_mask)`` for the ground-index mask of B and
-    the index of e, or None when B is no basis.  Subclasses provide
-    ``ground``, ``rank`` and the core."""
+    """The names path and the vertex entry of a circuit oracle, both over
+    its mask core ``_circuit(mask, index)``: C(B, e) as
+    ``(pos_mask, neg_mask)`` for the ground-index mask of B and the index
+    of e, or None when B is no basis.  Subclasses provide ``ground``,
+    ``rank`` and the core."""
 
     def _names_query(self, basis: Iterable[str], e: str) -> SignedSet | NotABasis:
         """``query(basis, e)``, checked in this order: e outside the set
@@ -132,17 +131,6 @@ class CircuitOracle:
         names built."""
         ground: GroundSet = self.ground
         return self._circuit(ground.vertex_mask(v), ground.index(ground.q))
-
-    def query_cube(self) -> list[tuple[int, int] | None]:
-        """``query_vertex(v)`` for every cube vertex v, listed in vertex
-        order.  The vertices are asked in Gray-code order, v = k ^ (k >> 1),
-        so consecutive queries differ in one dimension and an oracle can
-        move between them by one basis exchange."""
-        answers: list = [None] * (1 << self.ground.n_pairs)
-        for k in range(len(answers)):
-            v = k ^ k >> 1
-            answers[v] = self.query_vertex(v)
-        return answers
 
 
 @dataclass(frozen=True)

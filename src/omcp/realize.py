@@ -12,9 +12,9 @@ fundamental cocircuit of some basis.  The fundamental circuit C(B(v), q)
 of a complementary basis comes from a principal-pivot stack instead,
 whose transposed tableaux drop one slot per fixed dimension and are not
 cached; the vertex entry ``query_vertex(v)`` asks for it by cube vertex,
-and ``query_cube()`` for every vertex in one depth-first walk.  The
-module also builds the complementarity instance [I; -M; -q] from an LCP
-pair (M, q).
+and asked in vertex order the stack walks the whole cube depth-first, one
+exchange per vertex.  The module also builds the complementarity
+instance [I; -M; -q] from an LCP pair (M, q).
 """
 
 from __future__ import annotations
@@ -200,20 +200,6 @@ def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool
     return (1 << e | below, above) if flip else (1 << e | above, below)
 
 
-def _exchange(u: list[list[int]], k: int, j: int, d: int):
-    """``(d', u')``: the principal pivot at dimension ``j >= k`` of a stack
-    tableau ``u`` with its D (see :class:`RealizedOM`), which holds the
-    slots of the dimensions >= k and of q, in that order, each a list over
-    the n dimensions.  ``u'`` holds the slots of the dimensions > j and of
-    q: the slot of j, where the leaving column lands, is dropped.  None on
-    a zero principal pivot."""
-    u = u[j - k:]
-    p = u[0][j]
-    if p == 0:
-        return None
-    return p, linalg.pivot(u, 0, j, d)[1:]
-
-
 def plcp_matrix(m: RationalMatrix, q: Vector) -> RationalMatrix:
     """The configuration [I; -M; -q] with columns s_1..s_n, t_1..t_n, q."""
     n = m.rows
@@ -266,34 +252,27 @@ class RealizedOM(CircuitOracle):
     holds a vertex, the number k of its fixed dimensions, its D and its
     tableau transposed: one list per slot, for the dimensions >= k and
     then q, each holding n entries in dimension order.  The bottom, k = 0,
-    is factored from the first vertex queried (vertex 0 for
-    ``query_cube``), with its rows and slots already in dimension order,
-    and stays for the oracle's lifetime; later general queries walk from
-    it, but it does not enter the basis cache, and a singular first set is
-    cached as no basis and not factored again.  Vertex v pops the
-    entries whose fixed dimensions disagree with it.  Then, for each
-    dimension j >= k where the top differs from v, in increasing order,
-    :func:`_exchange` cuts the slots below j off (one outer slice), pivots
-    at the slot of j and the entry of j, drops the slot of j and pushes the
-    result with k = j + 1; the undecided dimensions keep their state.  The
-    cut is exact: an exchange at (r, c) reads only row r and slot c and
-    updates each other slot from itself, and no exchange above the new
-    entry reads a slot below j.  So the stack holds at most n + 1 entries,
-    and a Gray walk or a vertex-order scan makes one pivot per vertex after
-    the first.  On the transposed layout the rows of the dimensions
-    exchanged on the path from the bottom read negated (see
-    :mod:`omcp.linalg`), which the answer undoes with one mask.  A zero
-    principal pivot goes to the cached tableaux, as every other query
-    does.
-
-    ``query_cube()`` answers every vertex at once by a depth-first walk of
-    the same pivot tree: from the bottom entry at v0, the child at
-    dimension j of an entry with k fixed dimensions, j >= k, is its
-    exchange at j.  Each vertex v is reached once, by exchanging the
-    dimensions where it differs from v0 in increasing order, so the walk
-    makes 2^n - 1 exchanges, factors nothing beyond the bottom and neither
-    pushes nor caches a tableau.  Below a zero principal pivot, each
-    vertex goes to ``query_vertex``.
+    is factored from the first vertex queried (vertex 0 for a materialized
+    cube), with its rows and slots already in dimension order, and stays
+    for the oracle's lifetime; later general queries walk from it, but it
+    does not enter the basis cache, and a singular first set is cached as
+    no basis and not factored again.  Vertex v pops the entries whose fixed
+    dimensions disagree with it.  Then, for each dimension j >= k where the
+    top differs from v, in increasing order, it cuts the slots below j off
+    (one outer slice), pivots at the slot of j and the entry of j, drops
+    the slot of j and pushes the result with k = j + 1; the undecided
+    dimensions keep their state.  The cut is exact: an exchange at (r, c)
+    reads only row r and slot c and updates each other slot from itself,
+    and no exchange above the new entry reads a slot below j.  So the stack
+    holds at most n + 1 entries.  The vertices that agree with an entry on
+    its fixed dimensions form one run of vertex order, so a scan in vertex
+    order, as a materialized cube makes, is a depth-first walk of the pivot
+    tree that pushes each entry once: 2^n - 1 exchanges from any bottom,
+    one per vertex after the first from vertex 0.  On the transposed
+    layout the rows of the dimensions exchanged on the path from the bottom
+    read negated (see :mod:`omcp.linalg`), which the answer undoes with one
+    mask.  A zero principal pivot goes to the cached tableaux, as every
+    other query does.
 
     The circuit and cocircuit sets are read off the tableaux of all bases,
     which one walk visits in lexicographic order without caching; a
@@ -435,25 +414,14 @@ class RealizedOM(CircuitOracle):
         stack.append((v, 0, d, [list(slot) for slot in zip(*t)]))
         return stack[0]
 
-    def _stack_answer(self, b: int, d: int, q_slot: list[int]) -> tuple[int, int]:
-        """C(B, q) as ``(pos_mask, neg_mask)`` for the ground-index mask
-        ``b`` of B = B(v), off the D and the slot of q of the stack entry at
-        v: sign(D) times minus the slot, with the rows of the dimensions
-        exchanged on the path from the bottom read negated (class
-        docstring)."""
-        above, below = sign_masks(q_slot)  # bit i: the row of dimension i
-        # b ^ bottom holds s_i exactly where dimension i was exchanged.
-        negated = b ^ self._bottom_mask
-        if d > 0:
-            negated = ~negated
-        swap = (above ^ below) & negated
-        ground = self.ground
-        return 1 << self._q | ground.in_basis(b, above ^ swap), ground.in_basis(b, below ^ swap)
-
     def _stack_circuit(self, v: int, b: int) -> tuple[int, int] | None:
         """C(B(v), q) as ``(pos_mask, neg_mask)`` for the ground-index mask
         ``b`` of B(v), from the principal-pivot stack (class docstring); None
-        when the stack meets a zero principal pivot or B(v) is no basis."""
+        when the stack meets a zero principal pivot or B(v) is no basis.
+
+        The answer is sign(D) times minus the slot of q of the entry at v,
+        with the rows of the dimensions exchanged on the path from the
+        bottom read negated."""
         if self._bottom(v) is None:
             return None
         n = self.ground.n_pairs
@@ -464,50 +432,24 @@ class RealizedOM(CircuitOracle):
             state, k, d, u = stack[-1]
         diff = state ^ v
         while diff:
-            j = n - diff.bit_length()
-            found = _exchange(u, k, j, d)
-            if found is None:
+            top = diff.bit_length()
+            j = n - top
+            u = u[j - k:]  # cut the slots below j
+            p = u[0][j]
+            if p == 0:
                 return None
-            d, u = found
-            bit = 1 << diff.bit_length() - 1
+            d, u = p, linalg.pivot(u, 0, j, d)[1:]  # drop the slot of j
+            bit = 1 << top - 1
             state, k, diff = state ^ bit, j + 1, diff ^ bit
             stack.append((state, k, d, u))
-        return self._stack_answer(b, d, u[-1])
-
-    def query_cube(self) -> list[tuple[int, int] | None]:
-        """``query_vertex(v)`` for every cube vertex v, in vertex order, by a
-        depth-first walk of the stack's pivot tree from its bottom entry
-        (class docstring); without a bottom, the vertices are asked one by
-        one in Gray-code order."""
-        if self._q is None or self._bottom(0) is None:
-            return super().query_cube()
-        v0, _, d, u = self._stack[0]
-        n = self.ground.n_pairs
-        pair_masks = self.ground.pair_masks
-        answers: list = [None] * (1 << n)
-
-        def walk(state: int, b: int, k: int, d: int, u: list[list[int]], free: int) -> None:
-            # b: the mask of B(state); free: the vertex bits of the dimensions >= k
-            answers[state] = self._stack_answer(b, d, u[-1])
-            while free:
-                j = n - free.bit_length()
-                bit = 1 << free.bit_length() - 1
-                free ^= bit
-                found = _exchange(u, k, j, d)
-                if found is not None:
-                    walk(state ^ bit, b ^ pair_masks[j], j + 1, *found, free)
-                    continue
-                # A zero principal pivot: the vertices below it from the cache.
-                sub = free
-                while True:
-                    w = state ^ bit ^ sub
-                    answers[w] = self.query_vertex(w)
-                    if not sub:
-                        break
-                    sub = sub - 1 & free
-
-        walk(v0, self._bottom_mask, 0, d, u, (1 << n) - 1)
-        return answers
+        above, below = sign_masks(u[-1])  # bit i: the row of dimension i
+        # b ^ bottom holds s_i exactly where dimension i was exchanged.
+        negated = b ^ self._bottom_mask
+        if d > 0:
+            negated = ~negated
+        swap = (above ^ below) & negated
+        ground = self.ground
+        return 1 << self._q | ground.in_basis(b, above ^ swap), ground.in_basis(b, below ^ swap)
 
     def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
         """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``

@@ -2,15 +2,14 @@
 
 Vertex v of the n-cube names the complementary basis B(v) that picks s_i
 when v_i = 0 and t_i when v_i = 1, as :class:`omcp.signs.GroundSet` maps
-it.  The lazy orientation asks the oracle's vertex entry
-(:meth:`omcp.om.CircuitOracle.query_vertex`) once per vertex, and its
-dense table takes all 2^n answers from one
-:meth:`~omcp.om.CircuitOracle.query_cube` call, which ``RealizedOM``
-answers in one depth-first principal-pivot walk; either way each answer
-is C(B(v), q) as its two masks, and names and signed sets are built only
-for a certificate or an error message.  The outmap of v, the mask pair
-``(plus, zero)`` of :mod:`omcp.cube`, is read off C(B(v), q), in three
-cases:
+it.  The orientation asks the oracle's vertex entry
+(:meth:`omcp.om.CircuitOracle.query_vertex`) once per vertex it orients,
+and its dense table asks every vertex in vertex order, which
+``RealizedOM``'s principal-pivot stack answers with one exchange per
+vertex.  Each answer is C(B(v), q) as its two masks, and names and
+signed sets are built only for a certificate or an error message.  The
+outmap of v, the mask pair ``(plus, zero)`` of :mod:`omcp.cube`, is read
+off C(B(v), q), in three cases:
 
 1. B(v) is not a basis: make v a sink, ``(0, 0)``.
 2. The entry at the basis element of dimension i vanishes: orient the
@@ -28,7 +27,6 @@ solution and violation certificates of the complementarity instance.
 from __future__ import annotations
 
 from .cube import Orientation, Outmap, downward_outmap, is_sw_pair
-from .guards import OMCP_SCAN_DIM, check
 from .pmatroid import M1, MV2, MV3, verify_mv3_pair
 from .signs import GroundSet, SignedSet
 
@@ -39,7 +37,7 @@ def _query(oracle, v: int, n: int):
 
     The half-edge of dimension i carries the negated entry of C(B(v), q)
     at the basis element of that dimension, read into vertex bit order by
-    ``GroundSet.on_vertex``.
+    one ``GroundSet.on_vertex`` call for both masks.
     """
     ground: GroundSet = oracle.ground
     if ground.pairs is None or len(ground.pairs) != n:
@@ -48,7 +46,7 @@ def _query(oracle, v: int, n: int):
     if answer is None:
         return None, None
     pos, neg = answer
-    return answer, (ground.on_vertex(v, neg), ground.on_vertex(v, ~(pos | neg)))
+    return answer, ground.on_vertex(v, neg, ~(pos | neg))
 
 
 def _total(v: int, out: Outmap | None) -> Outmap:
@@ -66,44 +64,10 @@ def orient_vertex_partial(oracle, v: int, n: int) -> Outmap:
     return out
 
 
-class _Answers:
-    """An oracle's answers to every vertex query, served by vertex."""
-
-    def __init__(self, ground: GroundSet, answers: list):
-        self.ground = ground
-        self.query_vertex = answers.__getitem__
-
-
-class _KlausOrientation(Orientation):
-    """The lazy orientation of the reduction, one vertex query per outmap,
-    whose dense table takes every answer from one ``query_cube`` call."""
-
-    def __init__(self, oracle, n: int, orient):
-        super().__init__(n, fn=lambda v: orient(oracle, v, n))
-        self._oracle, self._orient = oracle, orient
-
-    def materialize(self) -> Orientation:
-        """The dense table of :meth:`Orientation.materialize`, oriented vertex
-        by vertex from the answers of ``query_cube``.  When the ground set
-        does not match n, or an answer raises ValueError, the vertices are
-        asked one by one, so the error is that of the least failing vertex."""
-        check(self.n, OMCP_SCAN_DIM, "materialized cube dimension")
-        oracle, n, orient = self._oracle, self.n, self._orient
-        pairs = oracle.ground.pairs
-        if pairs is not None and len(pairs) == n:
-            try:
-                answers = _Answers(oracle.ground, oracle.query_cube())
-            except ValueError:
-                pass
-            else:
-                return Orientation(n, fn=lambda v: orient(answers, v, n)).materialize()
-        return super().materialize()
-
-
 def klaus_orientation(oracle, n: int, partial: bool = False) -> Orientation:
-    """Orientation oracle wrapping the reduction: one vertex query per
-    outmap, or one ``query_cube`` call for the whole table."""
-    return _KlausOrientation(oracle, n, orient_vertex_partial if partial else orient_vertex_total)
+    """Orientation oracle wrapping the reduction: one vertex query per outmap."""
+    orient = orient_vertex_partial if partial else orient_vertex_total
+    return Orientation(n, fn=lambda v: orient(oracle, v, n))
 
 
 def map_back_sink(oracle, v: int, n: int) -> M1 | MV2:

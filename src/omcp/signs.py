@@ -160,12 +160,14 @@ class GroundSet:
         full, t = (1 << n) - 1, mask >> n
         return self._mirror(t) if mask & full ^ t == full else None
 
-    def on_vertex(self, v: int, mask: int) -> int:
-        """The bits of ``mask`` at the elements of B(v), in vertex order: bit
-        n - 1 - i holds the element of dimension i."""
-        n = self._n
-        t = self._mirror(v)
-        return self._mirror(mask & ((1 << n) - 1 ^ t) | mask >> n & t)
+    def on_vertex(self, v: int, *masks: int) -> tuple[int, ...]:
+        """The bits of each mask at the elements of B(v), in vertex order:
+        bit n - 1 - i holds the element of dimension i.  v is mirrored once
+        for all of them."""
+        n, mirror = self._n, self._mirror
+        t = mirror(v)
+        s = (1 << n) - 1 ^ t
+        return tuple([mirror(mask & s | mask >> n & t) for mask in masks])
 
     def in_basis(self, b: int, bits: int) -> int:
         """The ground-index mask of the elements of the complementary n-set

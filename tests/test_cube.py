@@ -318,6 +318,54 @@ def test_orientation_rejects_malformed_rows(row):
         Orientation(1, table=[(0, 0), row])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        # malformed rows of a table: test_orientation_rejects_malformed_rows
+        lambda: Orientation(2, table=[(0, 0)] * 3),
+        lambda: Orientation.from_outmaps(["+", "-", "+"]),
+        lambda: Orientation.from_outmaps(["+", "--"]),
+        lambda: Orientation.from_outmaps(["+", "x"]),
+        lambda: Orientation.from_json_dict({"n": 1, "outmaps": ["+", "x"]}),
+        lambda: Orientation.from_json_dict({"n": 2, "outmaps": ["+", "-"]}),
+        lambda: Orientation.from_json_dict({"outmaps": ["+", "--"]}),
+        lambda: Orientation.from_json_dict({"outmaps": ["++", "--", "+-"]}),
+    ],
+)
+def test_every_outside_table_is_checked(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_materialize_evaluates_each_vertex_once_in_vertex_order():
+    # Vertex order is the order that makes the principal-pivot stack of
+    # RealizedOM exchange once per vertex (omcp.realize).
+    seen = []
+
+    def recording(v):
+        seen.append(v)
+        return v, 0
+
+    dense = Orientation(4, fn=recording).materialize()
+    assert seen == list(range(16))
+    assert [dense.outmap(v) for v in dense.vertices()] == [(v, 0) for v in range(16)]
+    assert dense.materialize() is dense and seen == list(range(16))
+
+    def failing(k):
+        def fn(v):
+            seen.append(v)
+            if v >= k:
+                raise ValueError(f"vertex {v}")
+            return 0, 0
+        return fn
+
+    for k in (0, 5, 15):
+        seen.clear()
+        with pytest.raises(ValueError, match=f"vertex {k}$"):
+            Orientation(4, fn=failing(k)).materialize()
+        assert seen == list(range(k + 1))
+
+
 def test_lazy_jump_at_n40():
     # mirrored all-down: every half-edge points toward the sink
     n, sink = 40, 0b1011 << 30

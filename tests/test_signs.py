@@ -115,10 +115,12 @@ def test_vertex_masks_match_the_vertex_columns(n):
         for i, pair in enumerate(g.pair_masks):
             assert g.mask_vertex(mask ^ pair) == v ^ 1 << n - 1 - i
             assert g.mask_vertex(mask | pair) is None
-        picked = rng.getrandbits(2 * n + 1)
-        assert g.on_vertex(v, picked) == sum(
-            1 << n - 1 - i for i, k in enumerate(columns) if picked >> k & 1
+        picked = [rng.getrandbits(2 * n + 1) for _ in range(3)]
+        assert g.on_vertex(v, *picked) == tuple(
+            sum(1 << n - 1 - i for i, k in enumerate(columns) if mask >> k & 1)
+            for mask in picked
         )
+        assert g.on_vertex(v) == ()
         assert g.names(mask) == g.vertex_basis(v)
 
 

@@ -1,4 +1,4 @@
-"""The integer tableaux of RealizedOM and the Gray-code materialization.
+"""The integer tableaux of RealizedOM and the materialized Klaus cube.
 
 One oracle answers a random sequence of queries: bases one exchange away
 from the last one, far jumps, singular sets and repeats.  Each answer must
@@ -12,8 +12,8 @@ every other query from the cached tableau of its basis.  The stack is
 checked against fresh oracles on walks that interleave both kinds of
 query in Gray, vertex and random order, on instances with zero principal
 pivots, a singular {s_1..s_n} and dependent rows; and its work is pinned:
-one factorization and 2^n - 1 pivots per Gray walk, on rows that lose one
-entry per fixed dimension.
+one factorization and 2^n - 1 pivots per cube materialized in vertex
+order, on rows that lose one entry per fixed dimension.
 """
 
 import json
@@ -327,8 +327,9 @@ def test_extension_walk_keeps_its_pivot_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "pivot", counting)
     klaus_orientation(ExtensionOM(lex_localization(base, "t1", MINUS)), 8).materialize()
-    # 255 exchanges between Gray neighbours on the base's cached tableaux,
-    # and the 8 pivots of its one factorization.
+    # In vertex order each new base tableau is one exchange from a cached
+    # neighbour below it: 255 exchanges, and the 8 pivots of the one
+    # factorization.
     assert len(pivots) == 263
 
 

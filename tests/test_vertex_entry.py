@@ -1,4 +1,4 @@
-"""The vertex entry, the whole-cube query and the names path of every oracle agree.
+"""The vertex entry, the materialized cube and the names path of every oracle agree.
 
 ``query_vertex(v)`` hands the ground-index mask of B(v) to an oracle's
 mask core, and ``query(B(v), "q")`` reaches the same core from the names.
@@ -6,11 +6,12 @@ On every vertex, both must give the same C(B(v), q) or both NotABasis, for
 ``RealizedOM``, its ``to_explicit()``, and ``ExtensionOM`` over either
 kind of base, with atom lists and with an explicit table.  The two paths
 run on separate oracles, so the principal-pivot stack and the basis cache
-of one never answer for the other.  ``query_cube()`` must list
-``query_vertex(v)`` of a fresh oracle for every v in vertex order, also
-when zero principal pivots cut the walk, when the first complementary set
-is singular and when an earlier query put the stack's bottom at v != 0;
-on a P-LCP it makes one factorization and 2^n - 1 exchanges.
+of one never answer for the other.  ``klaus_orientation(...).materialize()``
+must give ``orient_vertex_*`` of a fresh oracle for every v in vertex
+order, total and partial, also when zero principal pivots cut the walk,
+when the first complementary set is singular and when an earlier query
+put the stack's bottom at v != 0; on a P-LCP it makes one factorization
+and 2^n - 1 exchanges.
 """
 
 import json
@@ -26,6 +27,7 @@ from omcp.extend import ExtensionOM, LexAtom, Localization
 from omcp.om import NotABasis
 from omcp.plcp import localization_from_q, random_p_matrix
 from omcp.realize import RationalMatrix, RealizedOM, hstack, negated, plcp_matrix
+from omcp.reduction import klaus_orientation, orient_vertex_partial, orient_vertex_total
 from omcp.signs import MINUS, PLUS, ZERO, GroundSet
 
 DATA = Path(__file__).parent / "data"
@@ -116,25 +118,44 @@ def test_vertex_entry_matches_the_names_path(data):
     assert_paths_agree(m, q, atom_lists, order)
 
 
-def by_vertex(oracle, n: int):
-    return [oracle.query_vertex(v) for v in range(1 << n)]
+def outcome(call):
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def by_vertex(oracle, n: int, partial: bool):
+    """Every vertex oriented on ``oracle`` in vertex order, or the first error."""
+    orient = orient_vertex_partial if partial else orient_vertex_total
+    return outcome(lambda: [orient(oracle, v, n) for v in range(1 << n)])
+
+
+def materialized(oracle, n: int, partial: bool):
+    def table():
+        dense = klaus_orientation(oracle, n, partial).materialize()
+        return [dense.outmap(v) for v in dense.vertices()]
+    return outcome(table)
 
 
 def assert_cube_matches(m: RationalMatrix, q, atom_lists, first=None):
-    """``query_cube()`` of every oracle kind against ``query_vertex`` of a
-    fresh one; ``first``, when given, is queried lazily before the cube."""
+    """The materialized Klaus cube of every oracle kind, total and partial,
+    against ``orient_vertex_*`` on a fresh one; ``first``, when given, is
+    queried lazily before the cube."""
     n = m.rows
     for label, make in oracle_pairs(m, q, atom_lists):
-        oracle = make()
-        if first is not None:
-            oracle.query_vertex(first)
-        assert oracle.query_cube() == by_vertex(make(), n), (label, first)
+        for partial in (False, True):
+            oracle = make()
+            if first is not None:
+                oracle.query_vertex(first)
+            got = materialized(oracle, n, partial)
+            assert got == by_vertex(make(), n, partial), (label, first, partial)
 
 
 @pytest.mark.parametrize(
     "name", ["lcp5_degenerate", "lcp3_singular", "lcp2_two_singular", "lcp3_nonp"]
 )
-def test_query_cube_matches_the_vertex_entry_on_data_files(name):
+def test_materialized_cube_matches_the_vertex_entry_on_data_files(name):
     data = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
     m = RationalMatrix.from_rows(data["M"])
     q = tuple(Fraction(v) for v in data["q"])
@@ -144,32 +165,37 @@ def test_query_cube_matches_the_vertex_entry_on_data_files(name):
         assert_cube_matches(m, q, atom_lists, first)
 
 
-def test_query_cube_walks_from_a_bottom_set_by_a_lazy_query():
+def test_materialized_cube_walks_from_a_bottom_set_by_a_lazy_query():
     m = random_p_matrix(4, random.Random(3))
     matrix = plcp_matrix(m, (Fraction(1), Fraction(-2), Fraction(0), Fraction(3)))
     ground = GroundSet.complementary(4, with_q=True)
     for first in (5, 10, 15):
-        oracle = RealizedOM(matrix, ground)
-        oracle.query_vertex(first)
-        assert oracle._stack[0][0] == first
-        assert oracle.query_cube() == by_vertex(RealizedOM(matrix, ground), 4)
-        assert oracle._stack[0][0] == first
+        for partial in (False, True):
+            oracle = RealizedOM(matrix, ground)
+            oracle.query_vertex(first)
+            assert oracle._stack[0][0] == first
+            got = materialized(oracle, 4, partial)
+            assert got == by_vertex(RealizedOM(matrix, ground), 4, partial)
+            assert oracle._stack[0][0] == first
 
 
-def test_query_cube_with_a_singular_first_set(invert_calls):
+def test_materialized_cube_with_a_singular_first_set(invert_calls):
     # s1 = s2 = (1, 0), so B(0) = {s1, s2} is singular: the stack's bottom
-    # cannot be factored there, and the vertices are asked one by one.
+    # is factored at vertex 1 instead.
     matrix = RationalMatrix.from_rows([[1, 1, 0, 1, 1], [0, 0, 1, 1, 2]])
     ground = GroundSet.complementary(2, with_q=True)
-    cube = RealizedOM(matrix, ground).query_cube()
+    kind, table = materialized(RealizedOM(matrix, ground), 2, False)
     assert invert_calls == [True, False]
-    assert cube[0] is None
-    assert cube == by_vertex(RealizedOM(matrix, ground), 2)
+    assert kind == "ok" and table[0] == (0, 0)
+    assert (kind, table) == by_vertex(RealizedOM(matrix, ground), 2, False)
+    partial = materialized(RealizedOM(matrix, ground), 2, True)
+    assert partial[0] == "error"
+    assert partial == by_vertex(RealizedOM(matrix, ground), 2, True)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
-def test_query_cube_matches_the_vertex_entry(data):
+def test_materialized_cube_matches_the_vertex_entry(data):
     n = data.draw(st.integers(1, 5))
     if data.draw(st.booleans()):
         m = random_p_matrix(n, random.Random(data.draw(st.integers(0, 2**16))))
@@ -184,7 +210,8 @@ def test_query_cube_matches_the_vertex_entry(data):
     assert_cube_matches(m, q, atom_lists, first)
 
 
-def test_query_cube_makes_one_exchange_per_vertex(invert_calls, monkeypatch):
+@pytest.mark.parametrize("first", [None, 5, 10, 200])
+def test_materialized_cube_makes_one_exchange_per_vertex(invert_calls, monkeypatch, first):
     rng = random.Random(8)
     m = random_p_matrix(8, rng)
     q = [Fraction(rng.randint(-4, 4)) for _ in range(8)]
@@ -198,11 +225,14 @@ def test_query_cube_makes_one_exchange_per_vertex(invert_calls, monkeypatch):
         return original(*args)
 
     oracle = RealizedOM(matrix, ground)
+    if first is not None:
+        oracle.query_vertex(first)
     monkeypatch.setattr(linalg, "pivot", counting)
-    cube = oracle.query_cube()
-    # The one factorization runs its own 8 pivots inside linalg.invert.
+    table = materialized(oracle, 8, False)
+    # The one factorization runs its own 8 pivots inside linalg.invert,
+    # before the cube when a lazy query set the stack's bottom.
     assert invert_calls == [False]
-    assert len(pivots) == 8 + 255
+    assert len(pivots) == (8 if first is None else 0) + 255
     assert len(oracle._basis_cache) == 0
-    assert len(oracle._stack) == 1
-    assert cube == by_vertex(RealizedOM(matrix, ground), 8)
+    monkeypatch.undo()
+    assert table == by_vertex(RealizedOM(matrix, ground), 8, False)
