@@ -16,6 +16,7 @@ so third-party certificates can be validated bit for bit:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cube import is_sw_pair, vertex_from_name, vertex_name
@@ -231,13 +232,14 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
 
 
 def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
-    """Some complementary basis B with C(B, q) vanishing on part of B."""
+    """Some complementary basis B with C(B, q) vanishing on part of B: as
+    C(B, q) lives on B + q and is + at q, a support of at most n elements."""
     ground: GroundSet = oracle.ground
     for v in _vertices(oracle, n):
         answer = oracle.query_vertex(v)
         if answer is None:
             raise ValueError(f"complementary set {sorted(ground.vertex_basis(v))} is not a basis")
-        if ground.vertex_mask(v) & ~(answer[0] | answer[1]):
+        if (answer[0] | answer[1]).bit_count() <= n:
             return True, ground.vertex_basis(v)
     return False, None
 
@@ -245,16 +247,21 @@ def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
 # -- verifiers ------------------------------------------------------------
 
 
-def _completion_basis(circuit: SignedSet) -> frozenset[str]:
-    """A complementary n-set containing the circuit's support minus q."""
-    ground = circuit.ground
-    chosen = []
-    for s, t in ground.pairs:
-        if circuit.sign_of(t) != ZERO:
-            chosen.append(t)
-        else:
-            chosen.append(s)
-    return frozenset(chosen)
+def _is_fundamental(c: SignedSet, oracle) -> bool:
+    """c, + at q and complementary, is C(B, q) for the first basis B among
+    the complementary n-sets that hold its support minus q: a circuit
+    inside B + q through q is C(B, q).  The sets take s_i or t_i on each of
+    the z pairs where c is zero, all s_i first, and the other 2^z - 1 come
+    only after a guard on z.  False when none is a basis."""
+    pairs = c.ground.pairs
+    options = [(t,) if c.sign_of(t) else (s,) if c.sign_of(s) else (s, t) for s, t in pairs]
+    for k, basis in enumerate(itertools.product(*options)):
+        if k == 1:
+            check(sum(len(o) - 1 for o in options), OMCP_SCAN_DIM, "completion pairs")
+        answer = oracle.query(basis, oracle.ground.q)
+        if not isinstance(answer, NotABasis):
+            return answer == c
+    return False
 
 
 def verify_m1(cert: M1, oracle) -> bool:
@@ -264,8 +271,7 @@ def verify_m1(cert: M1, oracle) -> bool:
         return False
     if c.neg_mask != 0 or c.sign_of(ground.q) != PLUS or not _is_complementary(c):
         return False
-    basis = _completion_basis(c)
-    return oracle.query(basis, ground.q) == c
+    return _is_fundamental(c, oracle)
 
 
 def verify_mv1(cert: MV1, om) -> bool:
@@ -292,11 +298,7 @@ def verify_mv3(cert: MV3, oracle) -> bool:
     """Condition check plus circuit membership through the oracle."""
     if not verify_mv3_pair(cert.x, cert.y):
         return False
-    ground: GroundSet = oracle.ground
-    for c in (cert.x, cert.y):
-        if oracle.query(_completion_basis(c), ground.q) != c:
-            return False
-    return True
+    return all(_is_fundamental(c, oracle) for c in (cert.x, cert.y))
 
 
 def verify_u1(cert: U1, orientation) -> bool:

@@ -8,11 +8,11 @@ basis mask, the first one read off a single ``linalg.invert`` of its
 basis on the other columns and every later one reached by exchanges, and
 reads its whole circuit and cocircuit sets off the tableaux of all its
 bases: every circuit is a fundamental circuit and every cocircuit a
-fundamental cocircuit of some basis.  The fundamental circuit C(B(v), q)
+fundamental cocircuit of some basis.  The fundamental circuit C(B, q)
 of a complementary basis comes from a principal-pivot stack instead,
-whose transposed tableaux drop one slot per fixed dimension and are not
-cached; the vertex entry ``query_vertex(v)`` asks for it by cube vertex,
-and asked in vertex order the stack walks the whole cube depth-first, one
+keyed by the t half of B's mask, whose transposed tableaux drop one slot
+per fixed dimension and are not cached; asked in cube vertex order
+through ``query_vertex(v)``, it walks the whole cube depth-first, one
 exchange per vertex.  The module also builds the complementarity
 instance [I; -M; -q] from an LCP pair (M, q).
 """
@@ -245,34 +245,35 @@ class RealizedOM(CircuitOracle):
     vertex entry ``query_vertex(v)`` asks for C(B(v), q) with the mask of
     B(v), so no names are built on the way.
 
-    C(B(v), q) of a complementary basis B(v) (ground with q, rank n; the
-    map v <-> B(v) is :class:`GroundSet`'s) is the slot of q of the
-    principal pivot transform of [M | q] at B(v) (Tucker 1963), and comes
-    from a principal-pivot stack that caches nothing per vertex.  An entry
-    holds a vertex, the number k of its fixed dimensions, its D and its
+    C(B, q) of a complementary n-set B (ground with q, rank n) is the slot
+    of q of the principal pivot transform of [M | q] at B (Tucker 1963),
+    and comes from a principal-pivot stack that caches nothing per set and
+    reads no cube vertex order.  It names B by the t half t of B's mask,
+    bit i for dimension i (see :class:`GroundSet`).  An entry holds t, the
+    number k of its fixed dimensions, the low k bits of t, its D and its
     tableau transposed: one list per slot, for the dimensions >= k and
     then q, each holding n entries in dimension order.  The bottom, k = 0,
-    is factored from the first vertex queried (vertex 0 for a materialized
-    cube), with its rows and slots already in dimension order, and stays
-    for the oracle's lifetime; later general queries walk from it, but it
-    does not enter the basis cache, and a singular first set is cached as
-    no basis and not factored again.  Vertex v pops the entries whose fixed
-    dimensions disagree with it.  Then, for each dimension j >= k where the
-    top differs from v, in increasing order, it cuts the slots below j off
-    (one outer slice), pivots at the slot of j and the entry of j, drops
-    the slot of j and pushes the result with k = j + 1; the undecided
-    dimensions keep their state.  The cut is exact: an exchange at (r, c)
-    reads only row r and slot c and updates each other slot from itself,
-    and no exchange above the new entry reads a slot below j.  So the stack
-    holds at most n + 1 entries.  The vertices that agree with an entry on
-    its fixed dimensions form one run of vertex order, so a scan in vertex
-    order, as a materialized cube makes, is a depth-first walk of the pivot
-    tree that pushes each entry once: 2^n - 1 exchanges from any bottom,
-    one per vertex after the first from vertex 0.  On the transposed
-    layout the rows of the dimensions exchanged on the path from the bottom
-    read negated (see :mod:`omcp.linalg`), which the answer undoes with one
-    mask.  A zero principal pivot goes to the cached tableaux, as every
-    other query does.
+    is factored from the first set queried (t = 0 for a materialized
+    cube) and stays for the oracle's lifetime; later general queries walk
+    from it, but it does not enter the basis cache, and a singular first
+    set is cached as no basis and not factored again.  A query for t pops
+    the entries with ``(state ^ t) & (1 << k) - 1`` non-zero.  Then, for
+    each dimension j where the top differs from t, lowest first, it cuts
+    the slots below j off (one outer slice), pivots at the slot of j and
+    the entry of j, drops the slot of j and pushes the result with
+    k = j + 1; the undecided dimensions keep their state.  The cut is
+    exact: an exchange at (r, c) reads only row r and slot c and updates
+    each other slot from itself, and no exchange above the new entry reads
+    a slot below j.  So the stack holds at most n + 1 entries.  The sets
+    that agree with an entry on its fixed dimensions form one run of cube
+    vertex order, whose highest bit is dimension 0, so a scan in vertex
+    order, as a materialized cube makes, is a depth-first walk of the
+    pivot tree that pushes each entry once: 2^n - 1 exchanges from any
+    bottom, one per vertex after the first from vertex 0.  On the
+    transposed layout the rows of the dimensions exchanged on the path
+    from the bottom, ``t ^ bottom``, read negated (see :mod:`omcp.linalg`),
+    which the answer undoes with that one mask.  A zero principal pivot
+    goes to the cached tableaux, as every other query does.
 
     The circuit and cocircuit sets are read off the tableaux of all bases,
     which one walk visits in lexicographic order without caching; a
@@ -295,7 +296,6 @@ class RealizedOM(CircuitOracle):
         self._basis_cache: dict = {}
         self._last = None
         self._stack: list[tuple[int, int, int, list[list[int]]]] = []
-        self._bottom_mask = 0  # the ground-index mask of the bottom entry's B(v)
         self._q = None if ground.q is None else ground.index(ground.q)
 
     @cached_property
@@ -389,62 +389,56 @@ class RealizedOM(CircuitOracle):
     def _uniform(self) -> bool:
         return is_generic(self._spanning)
 
-    def _bottom(self, v: int):
-        """The stack's bottom entry, factored from B(v) when the stack is
-        empty; None when the rank is not n or B(v) is no basis.  A set the
-        cache already holds as no basis is not factored again; a singular
-        one is cached as no basis."""
+    def _bottom(self, t: int, b: int):
+        """The stack's bottom entry, factored from the complementary n-set
+        with t half ``t`` and mask ``b`` when the stack is empty; None when
+        the rank is not n or the set is no basis.  A set the cache holds as
+        no basis is not factored again; a singular one is cached as such."""
         stack = self._stack
         if stack:
             return stack[0]
-        ground = self.ground
-        b = ground.vertex_mask(v)
-        cache = self._basis_cache
+        ground, cache = self.ground, self._basis_cache
         if ground.n_pairs != self.rank or b in cache and cache[b] is None:
             return None
-        js = ground.vertex_columns(v)
-        ns = ground.vertex_columns(~v) + [self._q]
+        js = ground.vertex_columns(t)
+        ns = ground.vertex_columns(~t) + [self._q]
         first = _integer_tableau(self._columns, js, ns)
         if first is None:
             cache[b] = None
             return None
-        d, t = first
-        self._last = js, ns, d, t
-        self._bottom_mask = b
-        stack.append((v, 0, d, [list(slot) for slot in zip(*t)]))
+        d, rows = first
+        self._last = js, ns, d, rows
+        stack.append((t, 0, d, [list(slot) for slot in zip(*rows)]))
         return stack[0]
 
-    def _stack_circuit(self, v: int, b: int) -> tuple[int, int] | None:
-        """C(B(v), q) as ``(pos_mask, neg_mask)`` for the ground-index mask
-        ``b`` of B(v), from the principal-pivot stack (class docstring); None
-        when the stack meets a zero principal pivot or B(v) is no basis.
+    def _stack_circuit(self, t: int, b: int) -> tuple[int, int] | None:
+        """C(B, q) as ``(pos_mask, neg_mask)`` for the complementary n-set B
+        with t half ``t`` and mask ``b``, from the principal-pivot stack
+        (class docstring); None at a zero principal pivot or if B is no basis.
 
-        The answer is sign(D) times minus the slot of q of the entry at v,
+        The answer is sign(D) times minus the slot of q of the entry at t,
         with the rows of the dimensions exchanged on the path from the
         bottom read negated."""
-        if self._bottom(v) is None:
+        if self._bottom(t, b) is None:
             return None
-        n = self.ground.n_pairs
         stack = self._stack
         state, k, d, u = stack[-1]
-        while (state ^ v) >> n - k:
+        while (state ^ t) & (1 << k) - 1:
             stack.pop()
             state, k, d, u = stack[-1]
-        diff = state ^ v
+        diff = state ^ t
         while diff:
-            top = diff.bit_length()
-            j = n - top
+            bit = diff & -diff
+            j = bit.bit_length() - 1
             u = u[j - k:]  # cut the slots below j
             p = u[0][j]
             if p == 0:
                 return None
             d, u = p, linalg.pivot(u, 0, j, d)[1:]  # drop the slot of j
-            bit = 1 << top - 1
             state, k, diff = state ^ bit, j + 1, diff ^ bit
             stack.append((state, k, d, u))
         above, below = sign_masks(u[-1])  # bit i: the row of dimension i
-        # b ^ bottom holds s_i exactly where dimension i was exchanged.
-        negated = b ^ self._bottom_mask
+        negated = t ^ stack[0][0]  # the dimensions exchanged from the bottom
         if d > 0:
             negated = ~negated
         swap = (above ^ below) & negated
@@ -453,12 +447,12 @@ class RealizedOM(CircuitOracle):
 
     def _circuit(self, b: int, e: int) -> tuple[int, int] | None:
         """``(pos_mask, neg_mask)`` of C(B, e) for the ground-index mask ``b``
-        of B and the index ``e``, or None when B is no basis: C(B(v), q) of
-        a complementary B(v) from the principal-pivot stack, every other
-        answer, and one the stack cannot give, from the slot of e in the
-        cached tableau."""
-        v = self.ground.mask_vertex(b) if e == self._q else None
-        found = None if v is None else self._stack_circuit(v, b)
+        of B and the index ``e``, or None when B is no basis: C(B, q) of a
+        complementary B from the principal-pivot stack, every other answer,
+        and one the stack cannot give, from the slot of e in the cached
+        tableau."""
+        half = self.ground.t_half(b) if e == self._q else None
+        found = None if half is None else self._stack_circuit(half, b)
         if found is not None:
             return found
         entry = self._tableau(b)

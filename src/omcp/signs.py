@@ -51,7 +51,12 @@ class GroundSet:
 
     Complementary ground sets pair up elements (s_i, t_i) and may carry a
     distinguished extension element q; their canonical element order is
-    s_1..s_n, t_1..t_n, q.
+    s_1..s_n, t_1..t_n, q.  A complementary n-set is named by the t half
+    of its ground-index mask: bit i is set where the set holds t_i and
+    clear where it holds s_i, so its bits are in dimension order, the
+    order of the pairs.  Cube vertex v names the complementary n-set B(v)
+    by the same bits in reverse, v_i at bit n - 1 - i; only
+    ``vertex_mask``, ``vertex_basis`` and ``on_vertex`` read that order.
     """
 
     elements: tuple[str, ...]
@@ -100,7 +105,7 @@ class GroundSet:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def n_pairs(self) -> int:
         if self.pairs is None:
             raise ValueError("ground set has no complementary structure")
@@ -113,58 +118,50 @@ class GroundSet:
         return self.pairs[i]
 
     @cached_property
-    def _dimensions(self) -> tuple[tuple[int, int, int], ...]:
-        """Per dimension i: vertex bit n - 1 - i and the indices i of s_i and i + n of t_i."""
-        n = self.n_pairs
-        return tuple([(1 << n - 1 - i, i, i + n) for i in range(n)])
-
-    @cached_property
     def pair_masks(self) -> tuple[int, ...]:
         """Per dimension i, the ground-index mask of s_i and t_i; empty
         without complementary structure.  A set that holds one of the two
         is one exchange away from its image under ``mask ^ pair``."""
         if self.pairs is None:
             return ()
-        return tuple([1 << s | 1 << t for _, s, t in self._dimensions])
-
-    @cached_property
-    def _n(self) -> int:
-        return self.n_pairs
+        n = self.n_pairs
+        return tuple([1 << i | 1 << i + n for i in range(n)])
 
     def _mirror(self, x: int) -> int:
         """The n low bits of x in reverse order, bit i to bit n - 1 - i: a
         vertex's bits in dimension order, and back."""
-        n = self._n
+        n = self.n_pairs
         r = 0
         for shift in range(0, n, 8):
             r = r << 8 | _REVERSED_BYTE[x >> shift & 255]
         return r >> -n % 8
 
-    def vertex_columns(self, v: int) -> list[int]:
-        """Ground indices of B(v), in dimension order: dimension i is index
-        i + n * v_i, where v_i is bit n - 1 - i of cube vertex v."""
-        return [t if v & bit else s for bit, s, t in self._dimensions]
+    def vertex_columns(self, t: int) -> list[int]:
+        """Ground indices of the complementary n-set with t half ``t``, in
+        dimension order: dimension i is index i + n * t_i, t_i bit i of t."""
+        n = self.n_pairs
+        return [i + n * (t >> i & 1) for i in range(n)]
+
+    def t_half(self, mask: int) -> int | None:
+        """The t half ``mask >> n`` of a complementary n-set's ground-index
+        mask, or None when the mask is no complementary n-set: its s half
+        and its t half, q included, must be complements."""
+        n = self.n_pairs
+        full, t = (1 << n) - 1, mask >> n
+        return t if mask & full ^ t == full else None
 
     def vertex_mask(self, v: int) -> int:
         """The ground-index mask of B(v): bit i (s_i) where v_i = 0, bit
-        i + n (t_i) where v_i = 1."""
-        n = self._n
+        i + n (t_i) where v_i = 1, for v_i bit n - 1 - i of cube vertex v."""
+        n = self.n_pairs
         t = self._mirror(v)
         return (1 << n) - 1 ^ t | t << n
-
-    def mask_vertex(self, mask: int) -> int | None:
-        """The vertex v with ``vertex_mask(v) == mask``, or None when the
-        mask is no complementary n-set: its s half and its t half, q
-        included, must be complements."""
-        n = self._n
-        full, t = (1 << n) - 1, mask >> n
-        return self._mirror(t) if mask & full ^ t == full else None
 
     def on_vertex(self, v: int, *masks: int) -> tuple[int, ...]:
         """The bits of each mask at the elements of B(v), in vertex order:
         bit n - 1 - i holds the element of dimension i.  v is mirrored once
         for all of them."""
-        n, mirror = self._n, self._mirror
+        n, mirror = self.n_pairs, self._mirror
         t = mirror(v)
         s = (1 << n) - 1 ^ t
         return tuple([mirror(mask & s | mask >> n & t) for mask in masks])
@@ -173,13 +170,13 @@ class GroundSet:
         """The ground-index mask of the elements of the complementary n-set
         with ground-index mask ``b`` whose dimension i has bit i set in
         ``bits``: s_i where b holds s_i, t_i where it holds t_i."""
-        n = self._n
+        n = self.n_pairs
         t = b >> n
         return bits & ~t | (bits & t) << n
 
     def vertex_basis(self, v: int) -> frozenset[str]:
         """B(v), the complementary n-set of vertex v: s_i where v_i = 0, t_i where v_i = 1."""
-        return frozenset(map(self.elements.__getitem__, self.vertex_columns(v)))
+        return self.names(self.vertex_mask(v))
 
     def mask(self, names: Iterable[str]) -> int:
         """The ground-index mask of ``names``; ValueError on an unknown name."""

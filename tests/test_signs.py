@@ -79,24 +79,30 @@ def test_complementary_ground_structure():
         GroundSet(("t1", "s1"), (("s1", "t1"),), None)
 
 
+def t_half_of(v: int, n: int) -> int:
+    """Vertex v's bits in dimension order: bit i holds v_i, bit n - 1 - i of v."""
+    return sum(1 << i for i in range(n) if v >> n - 1 - i & 1)
+
+
 @pytest.mark.parametrize("n, v", [(n, v) for n in range(1, 7) for v in range(1 << n)])
 def test_vertex_map_round_trips(n, v):
     g = GroundSet.complementary(n, with_q=True)
     by_name = frozenset(f"t{i + 1}" if v >> n - 1 - i & 1 else f"s{i + 1}" for i in range(n))
+    t = t_half_of(v, n)
     assert g.vertex_basis(v) == by_name
-    assert frozenset(g.elements[k] for k in g.vertex_columns(v)) == by_name
-    assert g.mask_vertex(g.mask(g.vertex_basis(v))) == v
+    assert frozenset(g.elements[k] for k in g.vertex_columns(t)) == by_name
+    assert g.t_half(g.mask(g.vertex_basis(v))) == t
     rest = by_name - set(g.pair(0))
-    assert g.mask_vertex(g.mask(rest)) is None
-    assert g.mask_vertex(g.mask(by_name | {"q"})) is None
-    assert g.mask_vertex(g.mask(rest | {"q"})) is None
+    assert g.t_half(g.mask(rest)) is None
+    assert g.t_half(g.mask(by_name | {"q"})) is None
+    assert g.t_half(g.mask(rest | {"q"})) is None
     if n > 1:
-        assert g.mask_vertex(g.mask(by_name - set(g.pair(1)) | set(g.pair(0)))) is None
+        assert g.t_half(g.mask(by_name - set(g.pair(1)) | set(g.pair(0)))) is None
     with pytest.raises(ValueError, match="unknown"):
         g.mask(rest | {"x"})
     plain = GroundSet.plain(g.elements)
     with pytest.raises(ValueError, match="complementary structure"):
-        plain.mask_vertex(plain.mask(by_name))
+        plain.t_half(plain.mask(by_name))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 16, 17])
@@ -107,14 +113,15 @@ def test_vertex_masks_match_the_vertex_columns(n):
     rng = random.Random(n)
     q_bit = 1 << 2 * n
     for v in {0, (1 << n) - 1} | {rng.randrange(1 << n) for _ in range(64)}:
-        columns = g.vertex_columns(v)
+        t = t_half_of(v, n)
+        columns = g.vertex_columns(t)
         mask = sum(1 << k for k in columns)
         assert g.vertex_mask(v) == mask
-        assert g.mask_vertex(mask) == v
-        assert g.mask_vertex(mask | q_bit) is None
+        assert g.t_half(mask) == t
+        assert g.t_half(mask | q_bit) is None
         for i, pair in enumerate(g.pair_masks):
-            assert g.mask_vertex(mask ^ pair) == v ^ 1 << n - 1 - i
-            assert g.mask_vertex(mask | pair) is None
+            assert g.t_half(mask ^ pair) == t ^ 1 << i
+            assert g.t_half(mask | pair) is None
         picked = [rng.getrandbits(2 * n + 1) for _ in range(3)]
         assert g.on_vertex(v, *picked) == tuple(
             sum(1 << n - 1 - i for i, k in enumerate(columns) if mask >> k & 1)
