@@ -52,11 +52,10 @@ class GroundSet:
     Complementary ground sets pair up elements (s_i, t_i) and may carry a
     distinguished extension element q; their canonical element order is
     s_1..s_n, t_1..t_n, q.  A complementary n-set is named by the t half
-    of its ground-index mask: bit i is set where the set holds t_i and
-    clear where it holds s_i, so its bits are in dimension order, the
-    order of the pairs.  Cube vertex v names the complementary n-set B(v)
-    by the same bits in reverse, v_i at bit n - 1 - i; only
-    ``vertex_mask``, ``vertex_basis`` and ``on_vertex`` read that order.
+    of its ground-index mask, bit i set where it holds t_i (dimension
+    order).  Cube vertex v names B(v) by the same bits reversed, v_i at
+    bit n - 1 - i, read only by ``vertex_mask``, ``vertex_basis`` and
+    ``on_vertex``.
     """
 
     elements: tuple[str, ...]

@@ -19,7 +19,11 @@ computes a ground index from a vertex bit (``n * (... & 1)``) or a
 partner column (``% (2 * n)``), nor builds a B(v) mask from pair bits:
 none shifts by a t-column index (``1 << i + n``), and outside ``signs``
 and ``cube``, the home of vertex bits, none shifts by the vertex bit of a
-dimension (``1 << n - 1 - i``).
+dimension (``1 << n - 1 - i``).  Cube vertex order is read at the cube's
+boundary only: outside ``signs``, ``vertex_mask`` is called only by the
+vertex entry in ``om`` and ``on_vertex`` only by the outmap in
+``reduction``, and ``_mirror`` not at all, so the oracle layer, ``realize``
+included, works in dimension order.
 """
 
 import ast
@@ -302,3 +306,27 @@ def test_pair_bit_shifts_are_recognized():
         "e = 1 << i\nf = 1 << diff.bit_length() - 1\n"
     ))
     assert (partner, vertex) == ([1, 2], [3, 4])
+
+
+VERTEX_ORDER_CALLS = {"vertex_mask", "on_vertex", "_mirror"}
+
+
+def _vertex_order_calls(tree: ast.Module) -> set[str]:
+    return {name for node in ast.walk(tree) if (name := _callee(node)) in VERTEX_ORDER_CALLS}
+
+
+def test_only_the_cube_boundary_reads_vertex_order():
+    callers = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "signs.py"
+        and (calls := _vertex_order_calls(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert callers == {"om.py": {"vertex_mask"}, "reduction.py": {"on_vertex"}}
+
+
+def test_vertex_order_calls_are_recognized():
+    assert _vertex_order_calls(ast.parse(
+        "ground.vertex_mask(v)\nself._mirror(x)\nf(on_vertex)\ng.on_vertex\nvertex_mask(v)\n"
+        "g.vertex_columns(t)\n"
+    )) == {"vertex_mask", "_mirror"}

@@ -1,11 +1,13 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from omcp.cube import Orientation
-from omcp.om import ExplicitOM
+from omcp.cube import Orientation, is_sw_pair, vertex_from_name
+from omcp.guards import SizeGuardError
+from omcp.om import NOT_A_BASIS, ExplicitOM
 from omcp.pmatroid import (
     M1,
     MV1,
@@ -26,6 +28,7 @@ from omcp.pmatroid import (
     verify_uv1,
 )
 from omcp.realize import RationalMatrix, RealizedOM, circuits_from_matrix, plcp_matrix
+from omcp.reduction import klaus_orientation, map_back_sink, map_back_uv1
 from omcp.signs import GroundSet, SignedSet
 
 DATA = Path(__file__).parent / "data"
@@ -261,6 +264,101 @@ def test_verify_mv3_through_oracle(ext):
     assert verify_certificate(cert, om)
     # against the genuine P-matroid extension the membership check fails
     assert not verify_certificate(cert, ext)
+
+
+def integer_lcp(seed: int) -> tuple[int, RationalMatrix]:
+    """n = randint(2, 5), then M, then q, all entries randint(-5, 5), from
+    one Random(seed); returns n and the configuration [I; -M; -q]."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    m = RationalMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+    return n, plcp_matrix(m, tuple(Fraction(rng.randint(-5, 5)) for _ in range(n)))
+
+
+@pytest.mark.parametrize(
+    "seed, v, w", [(148, "00000", "00110"), (201, "01", "11"), (288, "0100", "0101")]
+)
+def test_mv3_with_a_singular_all_s_completion_verifies(seed, v, w):
+    # One circuit of each pair is zero on a whole pair, and taking s_i
+    # there completes its support to a singular set; a later completion
+    # is a basis, and the circuit is its C(B, q).
+    n, matrix = integer_lcp(seed)
+    ground = GroundSet.complementary(n, with_q=True)
+    oracle = RealizedOM(matrix, ground)
+    cert = map_back_uv1(oracle, vertex_from_name(v, n), vertex_from_name(w, n), n)
+    assert isinstance(cert, MV3)
+    all_s = [
+        {t if c.sign_of(t) else s for s, t in ground.pairs} for c in (cert.x, cert.y)
+    ]
+    assert not all(map(oracle.is_basis, all_s))
+    for instance in (RealizedOM(matrix, ground), oracle.to_explicit()):
+        assert verify_certificate(cert, instance)
+
+
+def test_every_back_mapped_certificate_of_an_integer_corpus_verifies():
+    # Every sink and every Szabo-Welzl pair of 300 seeded integer LCPs,
+    # degenerate and singular ones among them, maps back to a certificate
+    # that verifies against a fresh oracle.
+    kinds = set()
+    for seed in range(300):
+        n, matrix = integer_lcp(seed)
+        ground = GroundSet.complementary(n, with_q=True)
+        oracle = RealizedOM(matrix, ground)
+        cube = klaus_orientation(oracle, n).materialize()
+        out = [cube.outmap(v) for v in range(1 << n)]
+        certs = [map_back_sink(oracle, v, n) for v in range(1 << n) if out[v] == (0, 0)]
+        certs += [
+            map_back_uv1(oracle, v, w, n)
+            for v in range(1 << n)
+            for w in range(v + 1, 1 << n)
+            if is_sw_pair(v, w, out[v], out[w])
+        ]
+        for cert in certs:
+            kinds.add(type(cert).__name__)
+            assert verify_certificate(cert, RealizedOM(matrix, ground)), (seed, cert)
+    assert kinds == {"M1", "MV2", "MV3"}
+
+
+class NoBasis:
+    """An oracle on which no set is a basis, recording what it is asked."""
+
+    def __init__(self, ground: GroundSet):
+        self.ground = ground
+        self.asked: list[frozenset[str]] = []
+
+    def query(self, basis, e):
+        self.asked.append(frozenset(basis))
+        return NOT_A_BASIS
+
+
+def test_completions_are_asked_in_turn_and_guarded_after_the_first():
+    # "+00000+" is zero on the pairs of dimensions 2 and 3: four
+    # completions, all s_i first.  At 17 doubly-zero pairs the guard
+    # refuses the 2^17 - 1 others after the first query.
+    ground = GroundSet.complementary(3, with_q=True)
+    oracle = NoBasis(ground)
+    assert not verify_certificate(M1(SignedSet.decode(ground, "+00000+")), oracle)
+    assert oracle.asked == [
+        {"s1", "s2", "s3"}, {"s1", "s2", "t3"}, {"s1", "t2", "s3"}, {"s1", "t2", "t3"}
+    ]
+    ground = GroundSet.complementary(17, with_q=True)
+    oracle = NoBasis(ground)
+    with pytest.raises(SizeGuardError, match="completion pairs=17"):
+        verify_certificate(M1(SignedSet(ground, 1 << 34, 0)), oracle)
+    assert oracle.asked == [{f"s{i}" for i in range(1, 18)}]
+
+
+def test_m1_on_a_zero_q_needs_one_query_at_n_40():
+    # q = 0 is zero on every pair, so z = n: the first completion, S, is a
+    # basis and decides.
+    n = 40
+    ground = GroundSet.complementary(n, with_q=True)
+    oracle = RealizedOM(plcp_matrix(RationalMatrix.identity(n), (Fraction(0),) * n), ground)
+    asked = []
+    query = oracle.query
+    oracle.query = lambda basis, e: asked.append(basis) or query(basis, e)
+    assert verify_certificate(M1(SignedSet(ground, 1 << 2 * n, 0)), oracle)
+    assert len(asked) == 1
 
 
 def test_certificate_json_roundtrips(ground1q):

@@ -24,7 +24,7 @@ from omcp.pmatroid import (
     solve_omcp_bruteforce,
     verify_certificate,
 )
-from omcp.plcp import random_p_matrix, random_q
+from omcp.plcp import is_p_matrix, random_p_matrix, random_q
 from omcp.realize import (
     RationalMatrix,
     RealizedOM,
@@ -259,3 +259,66 @@ def test_swapping_a_complementary_pair_mirrors_the_cube(name):
         for a, b in ((original, swapped), (original.to_explicit(), swapped.to_explicit())):
             for v in range(1 << n):
                 assert partial_or_none(b, v, n) == partial_or_none(a, v ^ e_i, n), (i, v)
+
+
+def permutation_law_instances():
+    """Seeded (label, M, q) at n = 2..5: a P-LCP, the same M with zeros in
+    q (degenerate), and an integer matrix that is no P-matrix."""
+    rng = random.Random(26)
+    cases = []
+    for n in range(2, 6):
+        m = random_p_matrix(n, rng)
+        cases.append((f"p{n}", m, random_q(n, rng)))
+        q = list(random_q(n, rng))
+        for i in rng.sample(range(n), (n + 1) // 2):
+            q[i] = Fraction(0)
+        cases.append((f"degenerate{n}", m, tuple(q)))
+        while True:
+            non_p = RationalMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            )
+            if not is_p_matrix(non_p)[0]:
+                break
+        cases.append((f"nonp{n}", non_p, tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))))
+    return cases
+
+
+def cube_table(oracle, n):
+    """Per vertex in vertex order: the total outmap of the materialized cube
+    and the partial outmap, None where B(v) is not a basis."""
+    total = klaus_orientation(oracle, n).materialize()
+    return [(total.outmap(v), partial_or_none(oracle, v, n)) for v in range(1 << n)]
+
+
+@pytest.mark.parametrize(
+    "label, m, q", permutation_law_instances(), ids=[c[0] for c in permutation_law_instances()]
+)
+def test_permuting_the_pairs_permutes_the_dimensions(label, m, q):
+    """(PMP^T, Pq) relabels dimension perm[i] of (M, q) as dimension i.
+
+    B(v) of the permuted instance takes the columns of B(u) of the original,
+    where u holds at dimension perm[i] the bit of v at dimension i, so the
+    total and partial outmaps, with their bits permuted the same way, and
+    the missing bases must match.
+    """
+    n = m.rows
+    rng = random.Random(label)
+    perm = rng.sample(range(n), n)
+    if perm == sorted(perm):
+        perm.reverse()
+    moved = RationalMatrix(tuple(tuple(m.entries[a][b] for b in perm) for a in perm))
+    ground = GroundSet.complementary(n, with_q=True)
+    original = RealizedOM(plcp_matrix(m, q), ground)
+    permuted = RealizedOM(plcp_matrix(moved, tuple(q[a] for a in perm)), ground)
+
+    def relabel(v):  # a vertex or outmap mask of the original, in the permuted bits
+        return sum(1 << n - 1 - i for i in range(n) if v >> n - 1 - perm[i] & 1)
+
+    def relabel_out(out):
+        return None if out is None else (relabel(out[0]), relabel(out[1]))
+
+    for a, b in ((original, permuted), (original.to_explicit(), permuted.to_explicit())):
+        want, got = cube_table(a, n), cube_table(b, n)
+        for v in range(1 << n):
+            total, partial = want[v]
+            assert got[relabel(v)] == (relabel_out(total), relabel_out(partial)), (perm, v)
