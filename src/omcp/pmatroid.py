@@ -12,6 +12,9 @@ so third-party certificates can be validated bit for bit:
 * MV3 - two complementary q-positive circuits matching per-pair,
 * U1  - cube vertex with all half-edges incoming (a sink),
 * UV1 - vertex pair contradicting the unique-sink condition.
+
+Each pair rule is one mask expression on the dimension-order s and t
+halves of sign masks (``GroundSet.halves``) or on ``GroundSet.t_half``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,11 @@ def certificate_from_json(d: dict, ground: GroundSet | None = None) -> Certifica
 # -- P-matroid structure --------------------------------------------------
 
 
+def _halves(c: SignedSet) -> tuple[int, int, int, int]:
+    """The s and t halves of c's positive mask, then of its negative mask."""
+    return (*c.ground.halves(c.pos_mask), *c.ground.halves(c.neg_mask))
+
+
 def is_sign_reversing(circuit: SignedSet) -> bool:
     """Opposite signs on every complementary pair contained in the support.
 
@@ -124,14 +132,10 @@ def is_sign_reversing(circuit: SignedSet) -> bool:
     condition vacuously and is reported as sign-reversing; inside a genuine
     P-matroid extension such circuits cannot exist within S u T.
     """
-    pairs = circuit.ground.pairs
-    if pairs is None:
+    if circuit.ground.pairs is None:
         raise ValueError("sign-reversal needs a complementary ground set")
-    for s, t in pairs:
-        a, b = circuit.sign_of(s), circuit.sign_of(t)
-        if a != ZERO and b != ZERO and a != -b:
-            return False
-    return True
+    ps, pt, ns, nt = _halves(circuit)
+    return not (ps & pt | ns & nt)
 
 
 def find_sign_reversing_circuit(om) -> SignedSet | None:
@@ -139,10 +143,7 @@ def find_sign_reversing_circuit(om) -> SignedSet | None:
     ground: GroundSet = om.ground
     if ground.pairs is None or ground.q is not None:
         raise ValueError("expected a complementary ground set without q")
-    for c in sorted(om.circuit_set(), key=lambda x: x.encode()):
-        if is_sign_reversing(c):
-            return c
-    return None
+    return min(filter(is_sign_reversing, om.circuit_set()), key=SignedSet.encode, default=None)
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,15 @@ def is_p_matroid(om) -> PMatroidCheck:
     return PMatroidCheck(s_ok and witness is None, s_ok, witness)
 
 
-def _vertices(oracle, n: int) -> range:
-    """The 2^n cube vertices of a scan over the complementary bases of an
-    oracle with n pairs; the guard is checked once, before any query."""
+def _answers(oracle, n: int):
+    """``(v, query_vertex(v))`` for the 2^n cube vertices of a scan over
+    the complementary bases of an oracle with n pairs, asked as the scan
+    goes; the guard is checked once, before any query."""
     if oracle.ground.n_pairs != n:
         raise ValueError("bit vector does not match complementary structure")
     check(n, OMCP_SCAN_DIM, "omcp scan dimension")
-    return range(1 << n)
+    for v in range(1 << n):
+        yield v, oracle.query_vertex(v)
 
 
 def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
@@ -180,38 +183,32 @@ def check_complementary_bases(oracle, n: int) -> frozenset[str] | None:
     ground: GroundSet = oracle.ground
     if ground.q is None:
         raise ValueError("expected an extension oracle with element q")
-    for v in _vertices(oracle, n):
-        if oracle.query_vertex(v) is None:
+    for v, answer in _answers(oracle, n):
+        if answer is None:
             return ground.vertex_basis(v)
     return None
 
 
 def _is_complementary(c: SignedSet) -> bool:
     """No complementary pair lies in the support of c."""
-    return not any(
-        c.sign_of(s) != ZERO and c.sign_of(t) != ZERO for s, t in c.ground.pairs
-    )
+    s, t = c.ground.halves(c.support_mask)
+    return not s & t
 
 
 def verify_mv3_pair(x: SignedSet, y: SignedSet) -> bool:
     """Pure MV3 condition on two signed sets (no oracle membership check)."""
     ground = x.ground
-    if y.ground != ground or ground.pairs is None or ground.q is None:
-        return False
-    if x == y:
+    if y.ground != ground or ground.q is None or x == y:
         return False
     if x.sign_of(ground.q) != PLUS or y.sign_of(ground.q) != PLUS:
         return False
     if not (_is_complementary(x) and _is_complementary(y)):
         return False
-    for s, t in ground.pairs:
-        zero_products = (
-            x.sign_of(s) * y.sign_of(t) == ZERO and x.sign_of(t) * y.sign_of(s) == ZERO
-        )
-        matching = x.sign_of(s) == y.sign_of(t) and x.sign_of(t) == y.sign_of(s)
-        if not (zero_products or matching):
-            return False
-    return True
+    # Per pair, zero products or matching signs across it: on complementary x
+    # and y, s_i of one and t_i of the other are never non-zero and opposite.
+    xps, xpt, xns, xnt = _halves(x)
+    yps, ypt, yns, ynt = _halves(y)
+    return not (xps & ynt | xns & ypt | xpt & yns | xnt & yps)
 
 
 def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
@@ -222,8 +219,7 @@ def solve_omcp_bruteforce(oracle, n: int) -> M1 | MV2 | None:
     without an easily extracted certificate).
     """
     ground: GroundSet = oracle.ground
-    for v in _vertices(oracle, n):
-        answer = oracle.query_vertex(v)
+    for v, answer in _answers(oracle, n):
         if answer is None:
             return MV2(ground.vertex_basis(v))
         if answer[1] == 0:
@@ -235,8 +231,7 @@ def is_degenerate(oracle, n: int) -> tuple[bool, frozenset[str] | None]:
     """Some complementary basis B with C(B, q) vanishing on part of B: as
     C(B, q) lives on B + q and is + at q, a support of at most n elements."""
     ground: GroundSet = oracle.ground
-    for v in _vertices(oracle, n):
-        answer = oracle.query_vertex(v)
+    for v, answer in _answers(oracle, n):
         if answer is None:
             raise ValueError(f"complementary set {sorted(ground.vertex_basis(v))} is not a basis")
         if (answer[0] | answer[1]).bit_count() <= n:
@@ -287,16 +282,16 @@ def verify_mv1(cert: MV1, om) -> bool:
 
 def verify_mv2(cert: MV2, oracle) -> bool:
     ground: GroundSet = oracle.ground
-    if ground.q is None or len(cert.basis) != ground.n_pairs:
+    if ground.q is None or not cert.basis.issubset(ground.elements):
         return False
-    if not cert.basis.issubset(ground.elements) or not ground.is_complementary_set(cert.basis):
+    if ground.t_half(ground.mask(cert.basis)) is None:
         return False
     return isinstance(oracle.query(cert.basis, ground.q), NotABasis)
 
 
 def verify_mv3(cert: MV3, oracle) -> bool:
     """Condition check plus circuit membership through the oracle."""
-    if not verify_mv3_pair(cert.x, cert.y):
+    if cert.x.ground != oracle.ground or not verify_mv3_pair(cert.x, cert.y):
         return False
     return all(_is_fundamental(c, oracle) for c in (cert.x, cert.y))
 

@@ -53,9 +53,9 @@ class GroundSet:
     distinguished extension element q; their canonical element order is
     s_1..s_n, t_1..t_n, q.  A complementary n-set is named by the t half
     of its ground-index mask, bit i set where it holds t_i (dimension
-    order).  Cube vertex v names B(v) by the same bits reversed, v_i at
-    bit n - 1 - i, read only by ``vertex_mask``, ``vertex_basis`` and
-    ``on_vertex``.
+    order).  The pair rules are read off ``halves`` and ``t_half``.  Cube
+    vertex v names B(v) by the same bits reversed, v_i at bit n - 1 - i,
+    read only by ``vertex_mask``, ``vertex_basis`` and ``on_vertex``.
     """
 
     elements: tuple[str, ...]
@@ -141,6 +141,12 @@ class GroundSet:
         n = self.n_pairs
         return [i + n * (t >> i & 1) for i in range(n)]
 
+    def halves(self, mask: int) -> tuple[int, int]:
+        """The s half and the t half of a ground-index mask, both in
+        dimension order (bit i for s_i and for t_i); q is in neither."""
+        n = self.n_pairs
+        return mask & (1 << n) - 1, mask >> n & (1 << n) - 1
+
     def t_half(self, mask: int) -> int | None:
         """The t half ``mask >> n`` of a complementary n-set's ground-index
         mask, or None when the mask is no complementary n-set: its s half
@@ -187,15 +193,6 @@ class GroundSet:
     def names(self, mask: int) -> frozenset[str]:
         """The elements whose ground-index bits are set in ``mask``."""
         return frozenset([name for k, name in enumerate(self.elements) if mask >> k & 1])
-
-    def is_complementary_set(self, names: Iterable[str]) -> bool:
-        """True if the set contains neither q nor any full complementary pair."""
-        if self.pairs is None:
-            raise ValueError("ground set has no complementary structure")
-        chosen = set(names)
-        if self.q is not None and self.q in chosen:
-            return False
-        return not any(s in chosen and t in chosen for s, t in self.pairs)
 
     def without(self, name: str) -> "GroundSet":
         """Ground set with one element deleted (pairing kept only when q is removed)."""
