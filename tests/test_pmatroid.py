@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from omcp.cube import Orientation, is_sw_pair, vertex_from_name
+from omcp.extend import ExtensionOM, lex_localization
 from omcp.guards import SizeGuardError
 from omcp.om import NOT_A_BASIS, ExplicitOM
 from omcp.pmatroid import (
@@ -15,12 +17,14 @@ from omcp.pmatroid import (
     MV3,
     U1,
     UV1,
+    _is_complementary,
     certificate_from_json,
     certificate_to_json,
     check_complementary_bases,
     find_sign_reversing_circuit,
     is_degenerate,
     is_p_matroid,
+    is_sign_reversing,
     solve_omcp_bruteforce,
     verify_certificate,
     verify_mv3_pair,
@@ -29,7 +33,7 @@ from omcp.pmatroid import (
 )
 from omcp.realize import RationalMatrix, RealizedOM, circuits_from_matrix, plcp_matrix
 from omcp.reduction import klaus_orientation, map_back_sink, map_back_uv1
-from omcp.signs import GroundSet, SignedSet
+from omcp.signs import PLUS, SIGNS, ZERO, GroundSet, SignedSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +116,56 @@ def test_verify_mv3_pair(ground1q):
     assert verify_mv3_pair(SignedSet.decode(ground1q, "00+"), SignedSet.decode(ground1q, "0++"))
     # non-complementary circuits are rejected
     assert not verify_mv3_pair(SignedSet.decode(ground1q, "+++"), y)
+
+
+# The pair rules by their definitions, pair by pair through element names;
+# the library reads them off the s and t halves of the sign masks.
+
+
+def reference_sign_reversing(c: SignedSet) -> bool:
+    for s, t in c.ground.pairs:
+        a, b = c.sign_of(s), c.sign_of(t)
+        if a != ZERO and b != ZERO and a != -b:
+            return False
+    return True
+
+
+def reference_complementary(c: SignedSet) -> bool:
+    return not any(c.sign_of(s) != ZERO and c.sign_of(t) != ZERO for s, t in c.ground.pairs)
+
+
+def reference_mv3_pair(x: SignedSet, y: SignedSet) -> bool:
+    ground = x.ground
+    if y.ground != ground or ground.pairs is None or ground.q is None or x == y:
+        return False
+    if x.sign_of(ground.q) != PLUS or y.sign_of(ground.q) != PLUS:
+        return False
+    if not (reference_complementary(x) and reference_complementary(y)):
+        return False
+    for s, t in ground.pairs:
+        xs, xt, ys, yt = x.sign_of(s), x.sign_of(t), y.sign_of(s), y.sign_of(t)
+        zero_products = xs * yt == ZERO and xt * ys == ZERO
+        matching = xs == yt and xt == ys
+        if not (zero_products or matching):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "ground",
+    [GroundSet.complementary(n, with_q) for n in (1, 2) for with_q in (False, True)],
+    ids=lambda g: "-".join(g.elements),
+)
+def test_pair_rules_match_their_name_based_definitions(ground):
+    sets = [SignedSet.from_signs(ground, v) for v in itertools.product(SIGNS, repeat=ground.size)]
+    assert len(sets) == 3 ** ground.size
+    for c in sets:
+        assert is_sign_reversing(c) == reference_sign_reversing(c), c
+        assert _is_complementary(c) == reference_complementary(c), c
+    pairs = [(x, y, reference_mv3_pair(x, y)) for x in sets for y in sets]
+    assert [(x, y) for x, y, want in pairs if verify_mv3_pair(x, y) != want] == []
+    # the MV3 condition holds on some pairs exactly when there is a q
+    assert any(want for _, _, want in pairs) == (ground.q is not None)
 
 
 def test_solve_bruteforce(ext, ext_degenerate):
@@ -255,6 +309,25 @@ def test_verify_mv2_rejects_names_outside_the_ground_set(basis):
         assert not verify_certificate(MV2(frozenset(basis)), instance)
 
 
+def test_verify_mv2_accepts_exactly_a_missing_complementary_basis():
+    # t1's column is zero, so a complementary set is a basis exactly when it holds s1.
+    matrix = plcp_matrix(RationalMatrix.from_rows([[0, 0], [0, 1]]), (Fraction(1), Fraction(1)))
+    oracle = RealizedOM(matrix, GroundSet.complementary(2, with_q=True))
+    for instance in (oracle, oracle.to_explicit()):
+        assert verify_certificate(MV2(frozenset({"t1", "s2"})), instance)
+        assert verify_certificate(MV2(frozenset({"t1", "t2"})), instance)
+        for basis in (
+            {"s1", "t1"},  # a full pair
+            {"s1", "q"},
+            {"t1", "x"},  # an unknown name
+            {"t1"},  # the wrong size
+            {"t1", "s2", "t2"},
+            {"s1", "s2"},  # a basis
+            {"s1", "t2"},
+        ):
+            assert not verify_certificate(MV2(frozenset(basis)), instance), basis
+
+
 def test_verify_mv3_through_oracle(ext):
     g = GroundSet.complementary(1, with_q=True)
     om = circuits_from_matrix(RationalMatrix.from_rows([[1, 1, -1]]), g)
@@ -264,6 +337,32 @@ def test_verify_mv3_through_oracle(ext):
     assert verify_certificate(cert, om)
     # against the genuine P-matroid extension the membership check fails
     assert not verify_certificate(cert, ext)
+
+
+def test_certificates_over_another_ground_set_do_not_verify():
+    # The same certificates over a ground set with other element names are
+    # no certificates of the instance: each verifier returns False, and none
+    # asks the oracle about names it does not hold.
+    native = GroundSet.complementary(1, with_q=True)
+    foreign = GroundSet(("a", "b", "q"), (("a", "b"),), "q")
+
+    def certs(g):
+        x, y = SignedSet.decode(g, "+0+"), SignedSet.decode(g, "0++")
+        basis = frozenset({g.elements[0]})
+        return [M1(x), MV1(SignedSet.decode(g, "+-0")), MV2(basis), MV3(x, y)]
+
+    oracle = RealizedOM(RationalMatrix.from_rows([[1, 1, -1]]), native)
+    for instance in (oracle, oracle.to_explicit()):
+        for cert, valid in zip(certs(native), (True, True, False, True)):
+            assert verify_certificate(cert, instance) is valid, cert
+        for cert in certs(foreign):
+            assert verify_certificate(cert, instance) is False, cert
+    base = RealizedOM(RationalMatrix.from_rows([[1, 1]]), GroundSet.complementary(1))
+    extension = ExtensionOM(lex_localization(base, "s1", PLUS))
+    assert extension.ground == native
+    for cert in certs(foreign):
+        if not isinstance(cert, MV1):
+            assert verify_certificate(cert, extension) is False, cert
 
 
 def integer_lcp(seed: int) -> tuple[int, RationalMatrix]:

@@ -38,7 +38,7 @@ from omcp.reduction import (
     orient_vertex_partial,
     orient_vertex_total,
 )
-from omcp.signs import GroundSet
+from omcp.signs import GroundSet, SignedSet
 
 DATA = Path(__file__).parent / "data"
 
@@ -299,7 +299,8 @@ def test_permuting_the_pairs_permutes_the_dimensions(label, m, q):
     B(v) of the permuted instance takes the columns of B(u) of the original,
     where u holds at dimension perm[i] the bit of v at dimension i, so the
     total and partial outmaps, with their bits permuted the same way, and
-    the missing bases must match.
+    the missing bases must match.  So must the certificates: M1 and MV3
+    circuits and MV2 bases relabelled the same way, and each verifies.
     """
     n = m.rows
     rng = random.Random(label)
@@ -317,8 +318,42 @@ def test_permuting_the_pairs_permutes_the_dimensions(label, m, q):
     def relabel_out(out):
         return None if out is None else (relabel(out[0]), relabel(out[1]))
 
-    for a, b in ((original, permuted), (original.to_explicit(), permuted.to_explicit())):
+    explicit = (original.to_explicit(), permuted.to_explicit())
+    for a, b in ((original, permuted), explicit):
         want, got = cube_table(a, n), cube_table(b, n)
         for v in range(1 << n):
             total, partial = want[v]
             assert got[relabel(v)] == (relabel_out(total), relabel_out(partial)), (perm, v)
+
+    order = perm + [n + a for a in perm] + [2 * n]  # ground index k of the permuted reads order[k]
+    names = {f"{side}{perm[i] + 1}": f"{side}{i + 1}" for i in range(n) for side in "st"}
+
+    def relabel_set(c):
+        return SignedSet.from_signs(ground, [c.signs[k] for k in order])
+
+    def relabel_cert(cert):
+        if isinstance(cert, M1):
+            return M1(relabel_set(cert.circuit))
+        if isinstance(cert, MV2):
+            return MV2(frozenset(names[e] for e in cert.basis))
+        return MV3(relabel_set(cert.x), relabel_set(cert.y))
+
+    total = klaus_orientation(original, n).materialize()
+    sinks = [v for v in range(1 << n) if total.outmap(v) == (0, 0)]
+    pair = find_sw_violation(total)
+    certs = []
+    if sinks:
+        v = sinks[0]
+        certs.append((map_back_sink(original, v, n), map_back_sink(permuted, relabel(v), n)))
+    if pair is not None:
+        v, w = pair
+        certs.append(
+            (map_back_uv1(original, v, w, n), map_back_uv1(permuted, relabel(v), relabel(w), n))
+        )
+    assert certs, label
+    for cert, moved_cert in certs:
+        assert moved_cert == relabel_cert(cert), (perm, cert)
+        for instance in (original, explicit[0]):
+            assert verify_certificate(cert, instance), cert
+        for instance in (permuted, explicit[1]):
+            assert verify_certificate(moved_cert, instance), moved_cert

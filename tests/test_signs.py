@@ -70,9 +70,9 @@ def test_complementary_ground_structure():
     assert g.elements == ("s1", "s2", "t1", "t2", "q")
     assert g.pair(0) == ("s1", "t1")
     assert g.vertex_basis(0b01) == {"s1", "t2"}
-    assert g.is_complementary_set({"s1", "t2"})
-    assert not g.is_complementary_set({"s1", "t1"})
-    assert not g.is_complementary_set({"s1", "q"})
+    assert g.t_half(g.mask({"s1", "t2"})) == 0b10
+    assert g.t_half(g.mask({"s1", "t1"})) is None
+    assert g.t_half(g.mask({"s1", "q"})) is None
     with pytest.raises(ValueError):
         GroundSet.complementary(0)
     with pytest.raises(ValueError):
@@ -103,6 +103,21 @@ def test_vertex_map_round_trips(n, v):
     plain = GroundSet.plain(g.elements)
     with pytest.raises(ValueError, match="complementary structure"):
         plain.t_half(plain.mask(by_name))
+
+
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_halves_split_a_mask_by_pair_in_dimension_order(n, with_q):
+    g = GroundSet.complementary(n, with_q)
+    rng = random.Random(n)
+    for mask in {0, (1 << g.size) - 1} | {rng.randrange(1 << g.size) for _ in range(32)}:
+        names = g.names(mask)
+        s = sum(1 << i for i in range(n) if f"s{i + 1}" in names)
+        t = sum(1 << i for i in range(n) if f"t{i + 1}" in names)
+        assert g.halves(mask) == (s, t), mask
+    plain = GroundSet.plain(g.elements)
+    with pytest.raises(ValueError, match="complementary structure"):
+        plain.halves(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 12, 16, 17])
