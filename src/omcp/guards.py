@@ -12,11 +12,11 @@ import os
 
 # Defaults: ground-set size for cocircuit enumeration over all bases, cube
 # dimension for the Holt-Klee max flow, cube dimension for sink-finding
-# games, matrix columns for circuit enumeration over all bases of a
-# realization, and the dimension n of every other 2^n scan: complementary
-# sets (OMCP solve, degeneracy, basis checks), principal minors (P-matrix
-# check), the vertices of a materialized cube orientation and the
-# exhaustive USO check.
+# games, matrix columns for the table of all minors behind a realization's
+# circuit, cocircuit and basis sets, and the dimension n of every other 2^n
+# scan: complementary sets (OMCP solve, degeneracy, basis checks),
+# principal minors (P-matrix check), the vertices of a materialized cube
+# orientation and the exhaustive USO check.
 DUALITY_ELEMENTS = 12
 HOLT_KLEE_DIM = 4
 GAME_DIM = 6

@@ -273,7 +273,7 @@ def verify_mv1(cert: MV1, om) -> bool:
     """Against an explicit instance: membership plus the sign-reversal property."""
     z = cert.circuit
     ground: GroundSet = om.ground
-    if z.ground != ground:
+    if z.ground != ground or ground.pairs is None:
         return False
     if ground.q is not None and z.sign_of(ground.q) != ZERO:
         return False

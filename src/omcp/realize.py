@@ -5,16 +5,16 @@ whose circuits are the sign patterns of the minimal linear dependencies
 among columns.  :class:`RealizedOM` answers basis and fundamental
 circuit/cocircuit queries from exact integer basis tableaux, cached by
 basis mask, the first one read off a single ``linalg.invert`` of its
-basis on the other columns and every later one reached by exchanges, and
-reads its whole circuit and cocircuit sets off the tableaux of all its
-bases: every circuit is a fundamental circuit and every cocircuit a
-fundamental cocircuit of some basis.  The fundamental circuit C(B, q)
-of a complementary basis comes from a principal-pivot stack instead,
-keyed by the t half of B's mask, whose transposed tableaux drop one slot
-per fixed dimension and are not cached; asked in cube vertex order
-through ``query_vertex(v)``, it walks the whole cube depth-first, one
-exchange per vertex.  The module also builds the complementarity
-instance [I; -M; -q] from an LCP pair (M, q).
+basis on the other columns and every later one reached by exchanges.
+Its basis, circuit and cocircuit sets come from one table: every minor
+of a single compact tableau, the chirotope of the realization, read by
+Cramer's rule.  The fundamental circuit C(B, q) of a complementary basis
+comes from a principal-pivot stack instead, keyed by the t half of B's
+mask, whose transposed tableaux drop one slot per fixed dimension and
+are not cached; asked in cube vertex order through ``query_vertex(v)``,
+it walks the whole cube depth-first, one exchange per vertex.  The
+module also builds the complementarity instance [I; -M; -q] from an LCP
+pair (M, q).
 """
 
 from __future__ import annotations
@@ -125,59 +125,89 @@ def _integer_tableau(cols: list[list[int]], js: list[int], ns: list[int]):
     )
 
 
-def is_generic(matrix: RationalMatrix) -> bool:
-    """Every row-count-sized column subset is nonsingular (uniform realization).
+def _compact(cols: list[list[int]], r: int):
+    """``(js, ns, d, t)``: the compact tableau of the integer columns ``cols``
+    on their first ``r`` rows at the first independent columns ``js``."""
+    full, js, d, _ = linalg._eliminate([[col[i] for col in cols] for i in range(r)], len(cols))
+    ns = [j for j in range(len(cols)) if j not in js]
+    return js, ns, d, [[row[j] for j in ns] for row in full]
 
-    Each column's denominators are cleared once; a positive column scaling
-    cannot make a minor vanish, so the work is on integers.  B is the first
-    r independent columns, as one elimination of A finds them, and
-    T = D * B^-1 A its compact tableau, read off the slots of the m - r
-    other columns in that same elimination.  An r-subset S is a basis iff
-    the k x k minor of T on the rows of B - S and the columns of S - B is
-    non-zero, k = |S - B|: by Cramer's rule that minor is
-    +-D^(k-1) det A_S.  So C(m, r) - 1 minors of T, C(r, k) C(m - r, k)
-    of each size k, take the place of C(m, r) determinants of size r.
 
-    The minors come level by level, each k x k minor on rows R and
-    columns C by Laplace expansion along the last row of R: the sum over
-    the i-th j in C of (-1)^i T[max R][j] times the minor on R - max R and
-    C - j, one level down.  The cofactor sign is (-1)^(k-1+i), so a level
-    holds its minors times one common sign, which no zero test sees.
-    Level 0 is the empty minor 1, so level 1 is the entries of T.  That is
-    k integer products per minor, and only two levels are kept, at most
-    max_k C(r, k) C(m - r, k) integers.  Stops at the first zero.
+def _minors(t: list[list[int]], r: int, w: int):
+    """Every minor of the r x w tableau ``t``, one row tuple R at a time:
+    ``(R, {C: minor})`` for the position masks C of the slots, level 0 first.
+
+    Each k x k minor is the Laplace expansion along the last row of R: the
+    sum over the i-th j in C of (-1)^i T[max R][j] times the minor on
+    R - max R and C - j.  The cofactor sign is (-1)^(k-1+i), so level k
+    holds its minors times (-1)^(k(k-1)/2).  Two levels are kept.
     """
-    r, m = matrix.rows, matrix.cols
-    if m < r:
-        return True
-    cols = [linalg.integer_multiple(matrix.column(j))[1] for j in range(m)]
-    full, basis, _, _ = linalg._eliminate([[col[i] for col in cols] for i in range(r)], m)
-    if len(basis) < r:
-        return False
-    ns = [j for j in range(m) if j not in basis]
-    t = [[row[j] for j in ns] for row in full]
-    # minors[R][C]: the minor on the row tuple R and the slot mask C, up to
-    # the sign of its level.
-    minors = {(): {0: 1}}
-    for k in range(1, min(r, m - r) + 1):
-        slots = [
-            (sum(1 << j for j in cc), cc)
-            for cc in itertools.combinations(range(m - r), k)
-        ]
+    below = {(): {0: 1}}
+    yield (), below[()]
+    for k in range(1, min(r, w) + 1):
+        slots = [(sum(1 << j for j in cc), cc) for cc in itertools.combinations(range(w), k)]
         level = {}
         for rr in itertools.combinations(range(r), k):
-            row, below = t[rr[-1]], minors[rr[:-1]]
+            row, lower = t[rr[-1]], below[rr[:-1]]
             level[rr] = here = {}
             for mask, cc in slots:
                 s, e = 0, 1
                 for j in cc:
-                    s += e * row[j] * below[mask ^ 1 << j]
+                    s += e * row[j] * lower[mask ^ 1 << j]
                     e = -e
-                if not s:
-                    return False
                 here[mask] = s
-        minors = level
-    return True
+            yield rr, here
+        below = level
+
+
+def is_generic(matrix: RationalMatrix) -> bool:
+    """Every row-count-sized column subset is nonsingular (uniform realization).
+
+    Positive column scaling cannot make a minor vanish, so each column's
+    denominators are cleared once.  An r-subset S is a basis iff the minor
+    on B ^ S of the compact tableau T of one elimination, at its basis B,
+    is non-zero: by Cramer's rule it is +-D^(k-1) det A_S, k = |S - B|.  So
+    the first row tuple of :func:`_minors` with a zero minor ends the scan.
+    """
+    r, m = matrix.rows, matrix.cols
+    js, ns, _, t = _compact([linalg.integer_multiple(matrix.column(j))[1] for j in range(m)], r)
+    return m < r or len(js) == r and all(all(here.values()) for _, here in _minors(t, r, m - r))
+
+
+def _cramer(minors: dict[int, int], rows: list[int], slots: list[int], flip: bool):
+    """``(pos_mask, neg_mask)`` of every circuit of [D I | T], up to negation,
+    from the minors of T keyed by ground masks (``RealizedOM._table``), for
+    the ground indices ``rows`` and ``slots`` of T and ``flip = D > 0``.
+    Swapped, with ``flip = D < 0``, it reads the dual [-T^T | D I].
+
+    Where the k minors on k - 1 rows R and the slots X - j are non-zero,
+    the kernel vectors (y, x) with y = 0 on R and x on X are the multiples
+    of one circuit, and every circuit is one of these; by Cramer's rule
+    x_j = (-1)^idx(j) det T[R, X - j], y_i = -sign(D) (-1)^#{a in R : a < i}
+    det T[R + i, X], and the level sign of the minors leaves (-1)^(k-1) on y.
+    """
+    found = set()
+    rows, slots = [1 << i for i in rows], [1 << j for j in slots]
+    for k in range(1, min(len(rows) + 1, len(slots)) + 1):
+        heads = [
+            (r, [(i, (r & i - 1).bit_count() + k - 1 + flip & 1) for i in rows if not r & i])
+            for r in map(sum, itertools.combinations(rows, k - 1))
+        ]
+        for xx in itertools.combinations(slots, k):
+            x, xs = sum(xx), [(j, a & 1) for a, j in enumerate(xx)]
+            for r, others in heads:
+                key, pos, neg = r | x, 0, 0
+                for i, odd in xs + others:
+                    v = minors[key ^ i]
+                    if v and (v > 0) ^ odd:
+                        pos |= i
+                    elif v:
+                        neg |= i
+                    elif i & x:
+                        break
+                else:
+                    found.add((pos, neg))
+    return found
 
 
 def _signed_masks(keys: Iterable[int], values: Iterable[int], e: int, flip: bool):
@@ -275,11 +305,11 @@ class RealizedOM(CircuitOracle):
     which the answer undoes with that one mask.  A zero principal pivot
     goes to the cached tableaux, as every other query does.
 
-    The circuit and cocircuit sets are read off the tableaux of all bases,
-    which one walk visits in lexicographic order without caching; a
-    circuit recurs at every basis that contains its support minus one
-    element, so each is kept once, as its pair of sign masks, before it
-    becomes a SignedSet.
+    The basis, circuit and cocircuit sets are read off ``_table``, every
+    minor of the compact tableau T of one first basis B keyed by the ground
+    mask of its rows and slots: the minor at B ^ S is +-D^(k-1) det A_S for
+    an r-subset S.  ``_cramer`` reads the circuits off it and, transposed,
+    the cocircuits; each is kept once, as its pair of sign masks.
     """
 
     def __init__(self, matrix: RationalMatrix, ground: GroundSet):
@@ -359,21 +389,28 @@ class RealizedOM(CircuitOracle):
             js[i], ns[s] = c, j
         return js, ns, d, t
 
-    def _all_tableaux(self) -> Iterator[tuple[list[int], list[int], int, list[list[int]]]]:
-        """``(js, ns, d, t)`` for every basis, the rank-subsets of columns
-        taken in lexicographic order; each is walked to from the one before
-        and none is stored in the basis cache."""
-        for target in itertools.combinations(range(self.matrix.cols), self.rank):
-            entry = self._walk(sum(1 << j for j in target))
-            if entry is not None:
-                self._last = entry
-                yield entry
+    @cached_property
+    def _table(self) -> tuple[list[int], list[int], int, dict[int, int]]:
+        """``(js, ns, d, minors)``: the basis ``js`` of one elimination, the
+        slots ``ns``, D, and every minor of the tableau T, keyed by the
+        ground-index mask of its rows and slots (class docstring)."""
+        check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
+        js, ns, d, t = _compact(self._columns, self.rank)
+        at_slots, minors = [0], {}  # the ground mask of each slot position mask
+        for j in ns:
+            at_slots += [c | 1 << j for c in at_slots]
+        for rr, here in _minors(t, len(js), len(ns)):
+            rows = sum(1 << js[i] for i in rr)
+            minors.update({rows | at_slots[c]: v for c, v in here.items()})
+        return js, ns, d, minors
 
     def bases(self) -> Iterator[frozenset[str]]:
         """Every basis, in the order of :meth:`ExplicitOM.bases`."""
-        names = self.ground.elements
-        for js, _, _, _ in self._all_tableaux():
-            yield frozenset(names[j] for j in js)
+        js, _, _, minors = self._table
+        b, names = sum(1 << j for j in js), self.ground.elements
+        for s in itertools.combinations(range(self.matrix.cols), self.rank):
+            if minors[b ^ sum(1 << j for j in s)]:
+                yield frozenset(names[j] for j in s)
 
     def is_basis(self, subset: Iterable[str]) -> bool:
         return self._names_tableau(frozenset(subset)) is not None
@@ -488,16 +525,13 @@ class RealizedOM(CircuitOracle):
         return {e: self.fundamental_cocircuit(names, e) for e in names}
 
     def cocircuits(self) -> frozenset[SignedSet]:
-        """All cocircuits: every C*(B, e) of every basis tableau, and its negation."""
+        """All cocircuits: the circuits of the dual, read off the table."""
         return self._cocircuits
 
     @cached_property
     def _cocircuits(self) -> frozenset[SignedSet]:
-        return self._with_negations(
-            _signed_masks(ns, row, e, d < 0)
-            for js, ns, d, t in self._all_tableaux()
-            for e, row in zip(js, t)
-        )
+        js, ns, d, minors = self._table
+        return self._with_negations(_cramer(minors, ns, js, d < 0))
 
     def circuit_set(self) -> frozenset[SignedSet]:
         return self._explicit.circuits
@@ -507,14 +541,8 @@ class RealizedOM(CircuitOracle):
 
     @cached_property
     def _explicit(self) -> ExplicitOM:
-        """Every C(B, e) with e outside a basis B, and its negation."""
-        check(self.matrix.cols, MATRIX_COLUMNS, "matrix columns")
-        return ExplicitOM(self.ground, self._with_negations(
-            _signed_masks(js, column, e, d > 0)
-            for js, ns, d, t in self._all_tableaux()
-            # at rank 0 there are no rows to transpose, and every slot is empty
-            for e, column in zip(ns, zip(*t) if t else [()] * len(ns))
-        ))
+        js, ns, d, minors = self._table
+        return ExplicitOM(self.ground, self._with_negations(_cramer(minors, js, ns, d > 0)))
 
     def _with_negations(self, masks: Iterable[tuple[int, int]]) -> frozenset[SignedSet]:
         """One SignedSet per distinct mask pair and per negation."""

@@ -529,3 +529,12 @@ def test_cube_certificates_of_another_dimension_fail():
     assert not verify_certificate(UV1(1, 0, 1), two_cube)
     assert not verify_uv1(UV1(3, 0, 1), Orientation.from_outmaps(["-+"] * 4))
     assert verify_uv1(UV1(2, 0, 1), Orientation.from_outmaps(["-+"] * 4))
+
+
+def test_verifiers_reject_a_ground_set_without_pairs():
+    # M1, MV2 and MV3 need q or pairs; MV1 needs pairs for sign reversal.
+    g = GroundSet.plain(["a", "b"])
+    om = ExplicitOM.from_encoded(g, ["+-", "-+"])
+    z = SignedSet.decode(g, "+-")
+    certs = [M1(z), MV1(z), MV2(frozenset({"a"})), MV3(z, z.negate())]
+    assert [verify_certificate(c, om) for c in certs] == [False] * 4

@@ -1,6 +1,6 @@
 """Realized oriented matroids against a circuit scan of their own.
 
-``RealizedOM`` reads every set system off its basis tableaux.  The
+``RealizedOM`` reads every set system off one table of tableau minors.  The
 reference here is the subset-kernel scan it replaced: column subsets in
 increasing size, each minimal dependent one giving a circuit through its
 one-dimensional kernel.
@@ -278,6 +278,20 @@ def test_size_guard():
         circuits_from_matrix(wide, GroundSet.plain([f"e{i}" for i in range(15)]))
 
 
+@pytest.mark.parametrize(
+    "read",
+    [RealizedOM.to_explicit, RealizedOM.cocircuits, lambda oracle: list(oracle.bases())],
+    ids=["to_explicit", "cocircuits", "bases"],
+)
+def test_every_set_reader_is_guarded(read, monkeypatch):
+    wide = RationalMatrix(tuple([tuple(Fraction(1) for _ in range(15))]))
+    ground = GroundSet.plain([f"e{i}" for i in range(15)])
+    with pytest.raises(SizeGuardError, match="matrix columns=15"):
+        read(RealizedOM(wide, ground))
+    monkeypatch.setenv("OMCP_GUARD_OVERRIDE", "15")
+    assert read(RealizedOM(wide, ground))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=1, max_value=2).flatmap(
@@ -398,7 +412,7 @@ def configurations(draw) -> RationalMatrix:
 @example(RationalMatrix.from_rows([[1, 0, 1, 2], [0, 0, 0, 0], [2, 0, 2, 4]]))
 @example(RationalMatrix.from_rows([[-1, 2, 1, 0], [3, 1, -2, 1], [0, 0, 0, 0]]))
 def test_realized_sets_match_reference(matrix):
-    """Circuits, cocircuits and bases read off the tableaux equal the
+    """Circuits, cocircuits and bases read off the table of minors equal the
     subset-kernel scan, the 3^|E| cocircuit scan and its bases."""
     ground = GroundSet.plain("abcdefg"[: matrix.cols])
     realized = RealizedOM(matrix, ground)
