@@ -7,8 +7,8 @@ circuit/cocircuit queries from exact integer basis tableaux, cached by
 basis mask, the first one read off a single ``linalg.invert`` of its
 basis on the other columns and every later one reached by exchanges.
 Its basis, circuit and cocircuit sets come from one table: every minor
-of a single compact tableau, the chirotope of the realization, read by
-Cramer's rule.  The fundamental circuit C(B, q) of a complementary basis
+of a single compact tableau, a chirotope of the realization up to known
+signs, read by Cramer's rule.  The fundamental circuit C(B, q) of a complementary basis
 comes from a principal-pivot stack instead, keyed by the t half of B's
 mask, whose transposed tableaux drop one slot per fixed dimension and
 are not cached; asked in cube vertex order through ``query_vertex(v)``,

@@ -24,17 +24,19 @@ from omcp.realize import RationalMatrix, RealizedOM, plcp_matrix
 from omcp.signs import GroundSet, SignedSet
 
 
+def integer_matrix(n: int, rng: random.Random) -> RationalMatrix:
+    """An n x n matrix of integers in [-3, 3]; as a rule not a P-matrix."""
+    return RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
 def _instances():
     rng = random.Random(57)
     out = []
     for n in range(2, 6):
-        for kind in ("p", "non-p"):
-            if kind == "p":
-                m = random_p_matrix(n, rng)
-            else:
-                m = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            matrix = plcp_matrix(m, random_q(n, rng))
-            out.append(pytest.param(matrix, GroundSet.complementary(n, with_q=True), id=f"{kind}-n{n}"))
+        for kind, draw in (("p", random_p_matrix), ("non-p", integer_matrix)):
+            matrix = plcp_matrix(draw(n, rng), random_q(n, rng))
+            ground = GroundSet.complementary(n, with_q=True)
+            out.append(pytest.param(matrix, ground, id=f"{kind}-n{n}"))
     return out
 
 
@@ -47,7 +49,8 @@ def sets(matrix: RationalMatrix, ground: GroundSet):
 
 
 def columns_times(matrix: RationalMatrix, factors) -> RationalMatrix:
-    return RationalMatrix(tuple(tuple(v * f for v, f in zip(row, factors)) for row in matrix.entries))
+    rows = matrix.entries
+    return RationalMatrix(tuple(tuple(v * f for v, f in zip(row, factors)) for row in rows))
 
 
 def negated_at(c: SignedSet, j: int) -> SignedSet:
@@ -70,11 +73,9 @@ def test_left_multiplication_by_an_invertible_matrix_changes_nothing(matrix, gro
     g = [[0]]
     while linalg.det(g) == 0:
         g = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+    columns = [matrix.column(j) for j in range(matrix.cols)]
     product = RationalMatrix(
-        tuple(
-            tuple(sum(a * row[j] for a, row in zip(g_row, matrix.entries)) for j in range(matrix.cols))
-            for g_row in g
-        )
+        tuple(tuple(sum(a * b for a, b in zip(g_row, col)) for col in columns) for g_row in g)
     )
     assert sets(product, ground) == sets(matrix, ground)
 
@@ -83,7 +84,8 @@ def test_left_multiplication_by_an_invertible_matrix_changes_nothing(matrix, gro
 def test_negating_a_column_negates_its_element(matrix, ground):
     circuits, cocircuits, bases = sets(matrix, ground)
     for j in range(matrix.cols):
-        flipped = sets(columns_times(matrix, [-1 if k == j else 1 for k in range(matrix.cols)]), ground)
+        signs = [-1 if k == j else 1 for k in range(matrix.cols)]
+        flipped = sets(columns_times(matrix, signs), ground)
         assert flipped[0] == {negated_at(c, j) for c in circuits}
         assert flipped[1] == {negated_at(d, j) for d in cocircuits}
         assert flipped[2] == bases

@@ -24,6 +24,7 @@ from omcp.plcp import PlcpInstance, random_p_matrix, random_q
 from omcp.realize import RationalMatrix, RealizedOM, _signed_masks, is_generic, plcp_matrix
 from omcp.signs import GroundSet
 from test_realize import configurations, random_matrix, reference_is_generic
+from test_realize_laws import integer_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,9 +121,7 @@ def test_seeded_lcps_match_the_walk():
     rng = random.Random(29)
     for n in (2, 3, 4):
         for _ in range(6):
-            p = random_p_matrix(n, rng)
-            non_p = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            for m in (p, non_p):
+            for m in (random_p_matrix(n, rng), integer_matrix(n, rng)):
                 q = random_q(n, rng)
                 assert_matches_walk(plcp_matrix(m, q), GroundSet.complementary(n, with_q=True))
 
